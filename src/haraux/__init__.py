@@ -15,6 +15,7 @@ from .functions import (
 )
 from .operators import (
     AffineOp,
+    DiagonalOp,
     GradientOp,
     Joca16Op,
     SkewPDOp,

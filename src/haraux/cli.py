@@ -26,6 +26,7 @@ EXIT_SOLVER = 3
 BOUND_HEADER = ["x", "u_star", "gamma", "method", "bound", "exact", "z", "residual"]
 FIGURE_HEADER = ["x", "u_star", "new_bound", "carlier_bound", "exact_L"]
 GAUGE_HEADER = ["x", "y_star", "gauge_value", "component_primal", "component_dual"]
+BOUND_METHODS = sorted(bounds.FY_METHODS + ("carlier_haraux",))
 
 
 class ConfigError(ValueError):
@@ -162,11 +163,6 @@ def cmd_bound(args):
     ]
     _write_rows(args.out, BOUND_HEADER, rows)
     return EXIT_OK
-
-
-def cmd_sweep(args):
-    # Same machinery as bound, but gamma is expected to be a grid.
-    return cmd_bound(args)
 
 
 def cmd_verify(args):
@@ -365,12 +361,13 @@ def _add_common(sub):
     sub.add_argument("--f", help="kernel function for bregman/pairing methods")
     sub.add_argument("--op-a", dest="op_a", help="operator spec for H_A bounds")
     sub.add_argument("--op-w", dest="op_w", help="kernel operator spec")
-    sub.add_argument("--method", default="legendre_self",
-                     choices=sorted(bounds.FY_METHODS + ("carlier_haraux",)))
-    sub.add_argument("--gamma", default="1")
+    # gamma and method default to None so a --config file can fill them;
+    # _resolve_bound_defaults applies the documented defaults afterwards.
+    sub.add_argument("--method", choices=BOUND_METHODS,
+                     help="bound method (default: legendre_self)")
+    sub.add_argument("--gamma", help="step size or comma-separated grid (default: 1)")
     sub.add_argument("--point", action="append",
                      help="evaluation point 'x;u_star', ',' between coordinates")
-    sub.add_argument("--grid", help="reserved for grid sweeps (lo:hi:n)")
 
 
 def _build_parser():
@@ -386,7 +383,6 @@ def _build_parser():
         _add_common(sub)
         sub.add_argument("--seed", type=int, default=None)
         sub.add_argument("--out")
-        sub.add_argument("--format", default="csv", choices=["csv", "svg"])
 
     sub = subs.add_parser("verify")
     sub.add_argument("--seed", type=int, default=None)
@@ -430,6 +426,17 @@ def _apply_config(args, path):
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
 
 
+def _resolve_bound_defaults(args):
+    if args.command not in ("bound", "sweep"):
+        return
+    if args.gamma is None:
+        args.gamma = "1"
+    if args.method is None:
+        args.method = "legendre_self"
+    if args.method not in BOUND_METHODS:
+        raise ConfigError(f"unknown method {args.method!r}")
+
+
 def _resolve_seed(args):
     if getattr(args, "seed", None) is not None:
         return
@@ -443,10 +450,11 @@ def main(argv=None):
     try:
         if args.config:
             _apply_config(args, args.config)
+        _resolve_bound_defaults(args)
         _resolve_seed(args)
         handler = {
             "bound": cmd_bound,
-            "sweep": cmd_sweep,
+            "sweep": cmd_bound,
             "verify": cmd_verify,
             "figure1": cmd_figure1,
             "gauge": cmd_gauge,
@@ -455,8 +463,12 @@ def main(argv=None):
     except (ConfigError, ValueError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoSolutionError, ConvergenceError, UnsupportedOperatorError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        print(f"error: numeric overflow at this input ({exc})", file=sys.stderr)
+        return EXIT_CONFIG
+    except (NoSolutionError, ConvergenceError, UnsupportedOperatorError,
+            bounds.InternalConsistencyError, bounds.UnusableBoundError) as exc:
+        print(f"error: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -13,6 +13,7 @@ from .core import DualPair, as_vector, pairing
 from .functions import SeparableFunction
 from .operators import (
     AffineOp,
+    DiagonalOp,
     GradientOp,
     MonotoneOperator,
     SkewPDOp,
@@ -168,12 +169,14 @@ def stacked_inclusion(inst):
     separable functions."""
 
     def _stack(op1, op2):
-        if isinstance(op1, AffineOp) and isinstance(op2, AffineOp):
+        aff1, aff2 = op1.as_affine(), op2.as_affine()
+        if aff1 is not None and aff2 is not None:
+            (M1, b1), (M2, b2) = aff1, aff2
             n, m = op1.dim_in, op2.dim_in
             M = np.zeros((n + m, n + m))
-            M[:n, :n] = op1.M
-            M[n:, n:] = op2.M
-            return AffineOp(M, np.concatenate([op1.b, op2.b]), check=False)
+            M[:n, :n] = M1
+            M[n:, n:] = M2
+            return AffineOp(M, np.concatenate([b1, b2]), check=False)
         if isinstance(op1, GradientOp) and isinstance(op2, GradientOp):
             parts = list(op1.f.parts) + list(op2.f.parts)
             cls = SubdifferentialOp if isinstance(op1, SubdifferentialOp) else GradientOp
@@ -191,7 +194,7 @@ def stacked_inclusion(inst):
 def linear_quadratic_kt_instance(x_bar, y_bar, L, gamma=1.0):
     """Build a primal-dual instance whose Kuhn-Tucker point is known by
     construction: C = Id - c0 and D^{-1} = Id - d0 with offsets back-solved
-    from the prescribed solution (x_bar, y_bar)."""
+    from the prescribed solution (x_bar, y_bar); every block is diagonal."""
     x_bar = as_vector(x_bar)
     y_bar = as_vector(y_bar)
     L = np.atleast_2d(np.asarray(L, dtype=float))
@@ -199,10 +202,10 @@ def linear_quadratic_kt_instance(x_bar, y_bar, L, gamma=1.0):
     c0 = x_bar + L.T @ y_bar
     d0 = y_bar - L @ x_bar
     return KTInstance(
-        C=AffineOp(np.eye(n), -c0),
-        D_inv=AffineOp(np.eye(m), -d0),
+        C=DiagonalOp(np.ones(n), -c0),
+        D_inv=DiagonalOp(np.ones(m), -d0),
         L=L,
         gamma=gamma,
-        W_X=AffineOp(np.eye(n)),
-        W_Ystar=AffineOp(np.eye(m)),
+        W_X=DiagonalOp(np.ones(n)),
+        W_Ystar=DiagonalOp(np.ones(m)),
     )

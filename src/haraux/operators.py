@@ -1,11 +1,12 @@
-"""Monotone operator representations: gradients, affine/skew maps, the
-R^2 rotation-plus-gradient example, and uniform-monotonicity moduli."""
+"""Monotone operator representations: gradients, affine, diagonal and skew
+maps, the R^2 rotation-plus-gradient example, and uniform-monotonicity
+moduli."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, as_vector, pairing
+from .core import INF, DomainError, as_vector, pairing
 from .functions import ScalarLegendre, SeparableFunction
 
 
@@ -53,7 +54,12 @@ def custom_modulus(fn):
 
 
 class MonotoneOperator:
-    """Base class; subclasses implement apply(x) as a single-valued selection."""
+    """Base class; subclasses implement apply(x) as a single-valued selection.
+
+    Two optional structure queries let the solvers pick a route without
+    knowing the concrete class: ``separable_terms()`` for operators that
+    decouple coordinatewise and ``as_affine()`` for affine maps.
+    """
 
     dim_in = None
     dim_out = None
@@ -64,6 +70,23 @@ class MonotoneOperator:
 
     def __call__(self, x):
         return self.apply(x)
+
+    def separable_terms(self):
+        """Per-coordinate (value, derivative, open interval) triples, or
+        None when the operator does not decouple coordinatewise."""
+        return None
+
+    def as_affine(self):
+        """(M, b) with apply(x) = M x + b, or None when not affine."""
+        return None
+
+
+def _linear_terms(diag, offset):
+    """Scalar triples of the coordinatewise map z -> m*z + c."""
+    return [
+        (lambda z, m=m, c=c: m * z + c, lambda z, m=m: m, (-INF, INF))
+        for m, c in zip(diag.tolist(), offset.tolist())
+    ]
 
 
 class GradientOp(MonotoneOperator):
@@ -80,6 +103,9 @@ class GradientOp(MonotoneOperator):
 
     def apply(self, x):
         return self.f.gradient(x)
+
+    def separable_terms(self):
+        return [(p.deriv, p.deriv2, p.dom) for p in self.f.parts]
 
     def interval(self, i):
         """Open domain interval of coordinate i."""
@@ -129,9 +155,52 @@ class AffineOp(MonotoneOperator):
     def is_diagonal(self):
         return np.count_nonzero(self.M - np.diag(np.diagonal(self.M))) == 0
 
+    def separable_terms(self):
+        if not self.is_diagonal:
+            return None
+        return _linear_terms(np.diagonal(self.M), self.b)
+
+    def as_affine(self):
+        return self.M, self.b
+
+
+class DiagonalOp(MonotoneOperator):
+    """x -> d * x + b with a nonnegative diagonal d, stored as vectors.
+
+    Monotone by construction once d >= 0, which is checked in O(dim)."""
+
+    tag = "diagonal"
+
+    def __init__(self, d, b=None, modulus=None):
+        d = as_vector(d)
+        b = np.zeros(d.shape[0]) if b is None else as_vector(b)
+        if b.shape[0] != d.shape[0]:
+            raise ValueError("offset dimension does not match diagonal")
+        d_min = float(d.min())
+        if d_min < -1e-10:
+            raise ValueError(
+                f"diagonal has negative entry {d_min:.3e}; not a monotone map"
+            )
+        self.d = d
+        self.b = b
+        self.dim_in = self.dim_out = d.shape[0]
+        self.modulus = modulus
+
+    def apply(self, x):
+        x = as_vector(x)
+        if x.shape[0] != self.dim_in:
+            raise DomainError("dimension mismatch in diagonal operator")
+        return self.d * x + self.b
+
+    def separable_terms(self):
+        return _linear_terms(self.d, self.b)
+
+    def as_affine(self):
+        return np.diag(self.d), self.b
+
 
 def identity(dim):
-    return AffineOp(np.eye(dim), modulus=strong(1.0))
+    return DiagonalOp(np.ones(dim), modulus=strong(1.0))
 
 
 class Joca16Op(MonotoneOperator):

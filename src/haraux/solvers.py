@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INF, DomainError, as_vector
+from .core import DomainError, as_vector
 from .functions import CompositeQuadPlus, SeparableFunction
-from .operators import AffineOp, GradientOp, Joca16Op, MonotoneOperator
+from .operators import GradientOp, Joca16Op, MonotoneOperator
 
 # Open domains are shrunk by this much before bracketing, so the solver
 # never evaluates a barrier at (or across) its singularity.
@@ -163,27 +163,6 @@ def solve_scalar_increasing(g, dg, interval, target, tol, x0=None, cfg=DEFAULT_C
     raise ConvergenceError("iteration budget exhausted in scalar solve")
 
 
-def _scalar_terms(op):
-    """Per-coordinate (value, derivative, open interval) triples, or None
-    when the operator does not decouple coordinatewise."""
-    if isinstance(op, GradientOp):
-        return [(p.deriv, p.deriv2, p.dom) for p in op.f.parts]
-    if isinstance(op, AffineOp) and op.is_diagonal:
-        out = []
-        for i in range(op.dim_in):
-            m = float(op.M[i, i])
-            c = float(op.b[i])
-            out.append(
-                (
-                    lambda z, m=m, c=c: m * z + c,
-                    lambda z, m=m: m,
-                    (-INF, INF),
-                )
-            )
-        return out
-    return None
-
-
 def _intersect(ivl1, ivl2):
     lo = max(ivl1[0], ivl2[0])
     hi = min(ivl1[1], ivl2[1])
@@ -203,13 +182,18 @@ def solve_resolvent(problem, cfg=DEFAULT_CONFIG):
     W, A, gamma, rhs = problem.W, problem.A, problem.gamma, problem.rhs
     tol = cfg.atol * (1.0 + float(np.max(np.abs(rhs))))
 
-    if isinstance(W, AffineOp) and isinstance(A, AffineOp):
-        z = np.linalg.solve(W.M + gamma * A.M, rhs - W.b - gamma * A.b)
+    # A is asked first so a diagonal W builds no dense matrix when A is
+    # not affine.
+    a_aff = A.as_affine()
+    w_aff = W.as_affine() if a_aff is not None else None
+    if w_aff is not None:
+        (Mw, bw), (Ma, ba) = w_aff, a_aff
+        z = np.linalg.solve(Mw + gamma * Ma, rhs - bw - gamma * ba)
     elif isinstance(A, Joca16Op):
         z = _solve_joca16(W, A, gamma, rhs, tol, cfg)
     else:
-        wt = _scalar_terms(W)
-        at = _scalar_terms(A)
+        wt = W.separable_terms()
+        at = A.separable_terms()
         if wt is None or at is None:
             raise UnsupportedOperatorError(
                 f"no resolvent route for {type(W).__name__} + {type(A).__name__}"
@@ -260,16 +244,17 @@ def _solve_joca16(W, A, gamma, rhs, tol, cfg):
         # W(z) cancels the -psi' terms: W + A is the linear map rot.
         return np.linalg.solve(rot, rhs)
 
+    w_aff = None
     if isinstance(W, GradientOp):
         w_fn = W.f.gradient
         w_d2 = [p.deriv2 for p in W.f.parts]
         if any(d is None for d in w_d2):
             raise UnsupportedOperatorError("kernel parts need second derivatives")
-    elif isinstance(W, AffineOp):
-        w_fn = W.apply
-        w_d2 = None
     else:
-        raise UnsupportedOperatorError("unsupported kernel for the R^2 example")
+        w_aff = W.as_affine()
+        if w_aff is None:
+            raise UnsupportedOperatorError("unsupported kernel for the R^2 example")
+        w_fn = W.apply
     if psi.deriv2 is None:
         raise UnsupportedOperatorError("psi needs a second derivative")
 
@@ -283,8 +268,8 @@ def _solve_joca16(W, A, gamma, rhs, tol, cfg):
                 [1.0, beta - psi.deriv2(z[1])],
             ]
         )
-        if w_d2 is None:
-            JW = W.M
+        if w_aff is not None:
+            JW = w_aff[0]
         else:
             JW = np.diag([w_d2[0](z[0]), w_d2[1](z[1])])
         return JW + gamma * JA

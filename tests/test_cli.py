@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from haraux import cli
+from haraux import bounds, cli, functions
+from haraux.core import DualPair
 
 
 def _run(capsys, argv):
@@ -114,6 +115,29 @@ class TestErrorPaths:
         ])
         assert code == cli.EXIT_CONFIG
 
+    def test_overflow_is_domain_error_without_traceback(self, capsys):
+        # grad phi*(u) = exp(u - 1) overflows a float at u* = 2000.
+        code, out, err = _run(capsys, [
+            "bound", "--phi", "boltzmann_shannon", "--point", "1;2000",
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "exc", [bounds.InternalConsistencyError, bounds.UnusableBoundError])
+    def test_bound_errors_are_solver_failures(self, capsys, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc("bound not usable")
+
+        monkeypatch.setattr(bounds, "fy_bound_dispatch", fail)
+        code, _, err = _run(capsys, [
+            "bound", "--phi", "burg", "--point", "1;-0.5", "--method", "bregman",
+        ])
+        assert code == cli.EXIT_SOLVER
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_point_outside_domain(self, capsys):
         code, _, _ = _run(capsys, [
             "bound", "--phi", "burg", "--point=-1;-0.5",
@@ -211,12 +235,26 @@ class TestGaugeCommand:
 
 class TestConfigAndSeed:
     def test_config_file_fills_missing_flags(self, capsys, tmp_path):
+        p = DualPair([1.0], [-0.5])
+        cases = [
+            ("method=legendre_self\n", "1", "legendre_self", 1.0 / 12.0),
+            ("gamma=0.5\nmethod=carlier_fy\n", "0.5", "carlier_fy",
+             bounds.bound_carlier_fy(functions.burg(), p, 0.5).value),
+        ]
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("phi=burg\npoint=1;-0.5\nmethod=legendre_self\n")
-        code, out, _ = _run(capsys, ["--config", str(cfg), "bound"])
-        assert code == 0
-        row = out.strip().splitlines()[1].split(",")
-        assert float(row[4]) == pytest.approx(1.0 / 12.0, abs=1e-14)
+        for keys, gamma, method, value in cases:
+            cfg.write_text("phi=burg\npoint=1;-0.5\n" + keys)
+            code, out, _ = _run(capsys, ["--config", str(cfg), "bound"])
+            assert code == 0
+            row = dict(zip(cli.BOUND_HEADER, out.strip().splitlines()[1].split(",")))
+            assert (row["gamma"], row["method"]) == (gamma, method)
+            assert float(row["bound"]) == pytest.approx(value, abs=1e-14)
+
+    def test_config_method_is_validated(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("phi=burg\npoint=1;-0.5\nmethod=nope\n")
+        code, _, err = _run(capsys, ["--config", str(cfg), "bound"])
+        assert code == cli.EXIT_CONFIG and "nope" in err
 
     def test_flags_beat_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.txt"

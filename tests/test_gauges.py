@@ -14,6 +14,7 @@ from haraux.gauges import (
 )
 from haraux.operators import (
     AffineOp,
+    DiagonalOp,
     GradientOp,
     SubdifferentialOp,
     identity,
@@ -162,6 +163,20 @@ class TestStackedInclusion:
         stacked = stacked_inclusion(inst)
         assert stacked.A.dim_in == 4
         assert stacked.W.dim_in == 4
+
+    def test_diagonal_blocks(self):
+        inst = KTInstance(
+            C=DiagonalOp([1.0, 2.0], [0.5, -0.5]),
+            D_inv=identity(1),
+            L=np.ones((1, 2)),
+            gamma=1.0,
+            W_X=identity(2),
+            W_Ystar=DiagonalOp([3.0]),
+        )
+        stacked = stacked_inclusion(inst)
+        np.testing.assert_array_equal(stacked.A.M, np.diag([1.0, 2.0, 1.0]))
+        np.testing.assert_array_equal(stacked.A.b, [0.5, -0.5, 0.0])
+        np.testing.assert_array_equal(stacked.W.M, np.diag([1.0, 1.0, 3.0]))
 
     def test_mixed_blocks_rejected(self):
         inst = KTInstance(

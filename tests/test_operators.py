@@ -5,6 +5,7 @@ from haraux import functions
 from haraux.core import DomainError, pairing
 from haraux.operators import (
     AffineOp,
+    DiagonalOp,
     GradientOp,
     Joca16Op,
     SkewPDOp,
@@ -88,6 +89,45 @@ class TestAffineOp:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             AffineOp(np.eye(2)).apply([1.0])
+
+
+class TestDiagonalOp:
+    def test_apply(self):
+        op = DiagonalOp([2.0, 3.0], [1.0, -1.0])
+        np.testing.assert_array_equal(op.apply([1.0, 1.0]), [3.0, 2.0])
+
+    def test_rejects_negative_entry(self):
+        with pytest.raises(ValueError, match="negative entry"):
+            DiagonalOp([1.0, -1e-3])
+        DiagonalOp([1.0, -1e-12])  # within the rounding threshold
+
+    def test_rejects_mismatched_offset(self):
+        with pytest.raises(ValueError, match="offset dimension"):
+            DiagonalOp([1.0, 2.0], [0.0, 0.0, 0.0])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DomainError):
+            DiagonalOp([1.0, 2.0]).apply([1.0])
+
+    def test_identity_is_diagonal_with_unit_strong_modulus(self):
+        op = identity(1000)
+        assert isinstance(op, DiagonalOp)
+        assert op.d.shape == (1000,) and op.b.shape == (1000,)
+        assert op.modulus.kind == "strong" and op.modulus.alpha == 1.0
+
+    def test_structure_queries(self):
+        diag = DiagonalOp([2.0, 0.5], [1.0, -1.0])
+        M, b = diag.as_affine()
+        np.testing.assert_array_equal(M, np.diag([2.0, 0.5]))
+        np.testing.assert_array_equal(b, [1.0, -1.0])
+        (v, dv, ivl), _ = diag.separable_terms()
+        assert (v(3.0), dv(3.0), ivl) == (7.0, 2.0, (-np.inf, np.inf))
+        assert AffineOp([[1.0, 0.5], [0.0, 1.0]]).separable_terms() is None
+        assert len(AffineOp(np.eye(3)).separable_terms()) == 3
+        grad = GradientOp(functions.burg(2))
+        assert grad.as_affine() is None
+        assert [t[2] for t in grad.separable_terms()] == [(0.0, np.inf)] * 2
+        assert SkewPDOp(np.eye(1)).separable_terms() is None
 
 
 class TestJoca16Op:

@@ -199,6 +199,23 @@ class TestSolveResolvent:
             1 + np.max(np.abs(rhs))
         )
 
+    @pytest.mark.parametrize("d", [1, 4, 50])
+    @pytest.mark.parametrize("kind", ["subdiff:burg", "subdiff:fermi_dirac", "affine"])
+    def test_diagonal_identity_matches_dense_kernel(self, d, kind):
+        # The dense identity AffineOp(np.eye(d)) is the reference kernel:
+        # the diagonal identity must give the same z to the last bit.
+        rng = np.random.default_rng(d)
+        if kind == "affine":
+            B = rng.normal(size=(d, d))
+            A = AffineOp(B @ B.T + (B - B.T), rng.normal(size=d))
+        else:
+            A = SubdifferentialOp(functions.from_name(kind.split(":")[1], d))
+        rhs = rng.uniform(-3.0, 3.0, d)
+        for gamma in (0.5, 1.0, 3.0):
+            z = solve_resolvent(ResolventProblem(identity(d), A, gamma, rhs))
+            z_ref = solve_resolvent(ResolventProblem(AffineOp(np.eye(d)), A, gamma, rhs))
+            assert z.tobytes() == z_ref.tobytes()
+
     def test_unsupported_pair_raises(self):
         W = identity(4)
         A = SkewPDOp(np.eye(2))
