@@ -27,7 +27,6 @@ from .operators import (
 )
 from .solvers import (
     ResolventProblem,
-    SolveConfig,
     bregman_prox,
     lambert_w,
     prox,

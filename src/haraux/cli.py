@@ -122,19 +122,7 @@ def _bound_row(phi, f, p, gamma, method, op_a=None, op_w=None):
         if not np.isfinite(exact):
             exact = None
     elif op_a is not None:
-        from .operators import identity as _identity
-
-        W = op_w if op_w is not None else _identity(p.dim)
-        if method == "carlier_haraux":
-            b = bounds.bound_carlier_haraux(op_a, p, gamma)
-        elif method == "strong":
-            b = bounds.bound_modulus(W, op_a, p, gamma)
-        elif method == "bregman":
-            if f is None:
-                raise ConfigError("--f is required for the bregman method")
-            b = bounds.bound_bregman(f, op_a, p, gamma)
-        else:
-            b = bounds.bound_pairing(W, op_a, p, gamma)
+        b = bounds._operator_bound(op_a, p, gamma, method, op_w, f)
     else:
         raise ConfigError("either --phi or --op-a is required")
     return [
@@ -166,7 +154,13 @@ def cmd_bound(args):
 
 
 def cmd_verify(args):
-    rows = verification.run_checks(seed=args.seed, corrupt=args.self_test_corrupt)
+    # Only verify samples. Its seed is --seed, else HARAUX_SEED, else the
+    # fixed default.
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("HARAUX_SEED")
+        seed = int(env) if env is not None else DEFAULT_SEED
+    rows = verification.run_checks(seed=seed, corrupt=args.self_test_corrupt)
     out_rows = [
         [
             r["module"],
@@ -364,7 +358,8 @@ def _add_common(sub):
     # gamma and method default to None so a --config file can fill them;
     # _resolve_bound_defaults applies the documented defaults afterwards.
     sub.add_argument("--method", choices=BOUND_METHODS,
-                     help="bound method (default: legendre_self)")
+                     help="bound method (default: legendre_self with --phi, "
+                          "pairing with --op-a)")
     sub.add_argument("--gamma", help="step size or comma-separated grid (default: 1)")
     sub.add_argument("--point", action="append",
                      help="evaluation point 'x;u_star', ',' between coordinates")
@@ -381,7 +376,6 @@ def _build_parser():
     for name in ("bound", "sweep"):
         sub = subs.add_parser(name)
         _add_common(sub)
-        sub.add_argument("--seed", type=int, default=None)
         sub.add_argument("--out")
 
     sub = subs.add_parser("verify")
@@ -393,12 +387,10 @@ def _build_parser():
     sub = subs.add_parser("figure1")
     sub.add_argument("--out")
     sub.add_argument("--format", default="svg", choices=["csv", "svg"])
-    sub.add_argument("--seed", type=int, default=None)
 
     sub = subs.add_parser("gauge")
     sub.add_argument("--instance", required=True)
     sub.add_argument("--point", action="append")
-    sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out")
     return parser
 
@@ -432,16 +424,10 @@ def _resolve_bound_defaults(args):
     if args.gamma is None:
         args.gamma = "1"
     if args.method is None:
-        args.method = "legendre_self"
+        # The operator route has no phi for the self-pair bound.
+        args.method = "pairing" if args.op_a and not args.phi else "legendre_self"
     if args.method not in BOUND_METHODS:
         raise ConfigError(f"unknown method {args.method!r}")
-
-
-def _resolve_seed(args):
-    if getattr(args, "seed", None) is not None:
-        return
-    env = os.environ.get("HARAUX_SEED")
-    args.seed = int(env) if env is not None else DEFAULT_SEED
 
 
 def main(argv=None):
@@ -451,7 +437,6 @@ def main(argv=None):
         if args.config:
             _apply_config(args, args.config)
         _resolve_bound_defaults(args)
-        _resolve_seed(args)
         handler = {
             "bound": cmd_bound,
             "sweep": cmd_bound,

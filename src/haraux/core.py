@@ -7,10 +7,6 @@ import numpy as np
 
 INF = math.inf
 
-# Default absolute/relative tolerances for approximate comparisons.
-ATOL = 1e-10
-RTOL = 1e-10
-
 
 class DimensionMismatchError(ValueError):
     """Raised when two vectors of different dimension are combined."""
@@ -65,16 +61,6 @@ def xadd(*terms):
         else:
             total += t
     return total
-
-
-def close(a, b, atol=ATOL, rtol=RTOL):
-    """Absolute-or-relative closeness |a-b| <= atol + rtol*|b|.
-
-    +inf compares equal only to +inf.
-    """
-    if a == INF or b == INF:
-        return a == b
-    return abs(a - b) <= atol + rtol * abs(b)
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,16 @@ class ScalarLegendre:
         )
 
 
+def _check_dim(x, dim):
+    """x as a vector, checked against the dimension of a function."""
+    x = as_vector(x)
+    if x.shape[0] != dim:
+        raise DomainError(
+            f"point of dimension {x.shape[0]} for function of dimension {dim}"
+        )
+    return x
+
+
 class SeparableFunction:
     """Sum of scalar Legendre parts, one per coordinate."""
 
@@ -104,35 +114,27 @@ class SeparableFunction:
         names = {p.name for p in self.parts}
         return names.pop() if len(names) == 1 else "mixed"
 
-    def _check_dim(self, x):
-        x = as_vector(x)
-        if x.shape[0] != self.dim:
-            raise DomainError(
-                f"point of dimension {x.shape[0]} for function of dimension {self.dim}"
-            )
-        return x
-
     def __call__(self, x):
-        x = self._check_dim(x)
+        x = _check_dim(x, self.dim)
         return xadd(*(p.eval(t) for p, t in zip(self.parts, x)))
 
     def conjugate_eval(self, u_star):
-        u = self._check_dim(u_star)
+        u = _check_dim(u_star, self.dim)
         return xadd(*(p.eval_conj(s) for p, s in zip(self.parts, u)))
 
     def in_interior(self, x):
-        x = self._check_dim(x)
+        x = _check_dim(x, self.dim)
         return all(p.in_interior(t) for p, t in zip(self.parts, x))
 
     def gradient(self, x):
-        x = self._check_dim(x)
+        x = _check_dim(x, self.dim)
         if not self.in_interior(x):
             raise DomainError("gradient requires a point strictly inside the domain")
         return np.array([p.deriv(t) for p, t in zip(self.parts, x)])
 
     def grad_conj(self, s):
         """Inverse gradient (gradient of the conjugate), coordinatewise."""
-        s = self._check_dim(s)
+        s = _check_dim(s, self.dim)
         for p, si in zip(self.parts, s):
             lo, hi = p.conj_dom
             if not lo < si < hi:
@@ -141,8 +143,8 @@ class SeparableFunction:
 
     def bregman(self, x, y):
         """D(x, y) = f(x) - f(y) - <x - y, grad f(y)>; +inf if y not interior."""
-        x = self._check_dim(x)
-        y = self._check_dim(y)
+        x = _check_dim(x, self.dim)
+        y = _check_dim(y, self.dim)
         if not self.in_interior(y):
             return INF
         fx = self(x)
@@ -153,8 +155,8 @@ class SeparableFunction:
 
     def fenchel_young(self, x, u_star):
         """phi(x) + phi*(u*) - <x, u*>, always >= 0."""
-        x = self._check_dim(x)
-        u = self._check_dim(u_star)
+        x = _check_dim(x, self.dim)
+        u = _check_dim(u_star, self.dim)
         fx = self(x)
         fu = self.conjugate_eval(u)
         if fx == INF or fu == INF:
@@ -182,37 +184,29 @@ class CompositeQuadPlus:
     def name(self):
         return f"quad_plus:{self.psi.name}"
 
-    def _check_dim(self, x):
-        x = as_vector(x)
-        if x.shape[0] != self.dim:
-            raise DomainError(
-                f"point of dimension {x.shape[0]} for function of dimension {self.dim}"
-            )
-        return x
-
     def __call__(self, x):
-        x = self._check_dim(x)
+        x = _check_dim(x, self.dim)
         return xadd(float(np.dot(x, x)) / 2.0, self.psi(x))
 
     def in_interior(self, x):
         return self.psi.in_interior(x)
 
     def gradient(self, x):
-        x = self._check_dim(x)
+        x = _check_dim(x, self.dim)
         return x + self.psi.gradient(x)
 
     def grad_conj(self, s):
         from .solvers import prox
 
-        return prox(self.psi, 1.0, self._check_dim(s))
+        return prox(self.psi, 1.0, _check_dim(s, self.dim))
 
     def conjugate_eval(self, u_star):
-        u = self._check_dim(u_star)
+        u = _check_dim(u_star, self.dim)
         return float(np.dot(u, u)) / 2.0 - moreau_envelope(self.psi, u)
 
     def fenchel_young(self, x, u_star):
-        x = self._check_dim(x)
-        u = self._check_dim(u_star)
+        x = _check_dim(x, self.dim)
+        u = _check_dim(u_star, self.dim)
         px = self.psi(x)
         if px == INF:
             return INF
@@ -270,6 +264,14 @@ def _boltzmann_shannon_prox(t, gamma):
     return gamma * lambert_w_of_exp(t / gamma - math.log(gamma))
 
 
+def _exp(s):
+    """e^s, with overflow reported as a point outside the domain."""
+    try:
+        return math.exp(s)
+    except OverflowError:
+        raise DomainError(f"exp(s) overflows a float at s = {float(s)!r}") from None
+
+
 def _boltzmann_shannon_scalar():
     # t ln t - t on (0, inf), value 0 at t = 0; conjugate exp(s) on R.
     return ScalarLegendre(
@@ -277,9 +279,9 @@ def _boltzmann_shannon_scalar():
         dom=(0.0, INF),
         value=lambda t: t * math.log(t) - t,
         deriv=lambda t: math.log(t),
-        deriv_inv=lambda s: math.exp(s),
+        deriv_inv=_exp,
         conj_dom=(-INF, INF),
-        conj_value=lambda s: math.exp(s),
+        conj_value=_exp,
         deriv2=lambda t: 1.0 / t,
         boundary_values={0.0: 0.0},
         prox_fn=_boltzmann_shannon_prox,

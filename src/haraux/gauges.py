@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DualPair, as_vector, pairing
+from .core import as_vector, pairing
 from .functions import SeparableFunction
 from .operators import (
     AffineOp,
@@ -21,13 +21,12 @@ from .operators import (
     UniformModulus,
 )
 from .solvers import (
-    DEFAULT_CONFIG,
     ResolventProblem,
     bregman_prox,
     resolvent_residual,
     solve_resolvent,
 )
-from .bounds import BoundResult, _finalize
+from .bounds import _finalize
 
 
 @dataclass
@@ -74,7 +73,7 @@ class KTInstance:
             raise ValueError("dual block dimensions do not match L")
 
 
-def primal_primal_bound(inst, x, y, cfg=DEFAULT_CONFIG):
+def primal_primal_bound(inst, x, y):
     """Lower bound on H_A(x, -B(y)), the two-argument membership function
     for the direct-sum operator; the diagonal y = x gives the gauge."""
     x = as_vector(x)
@@ -82,7 +81,7 @@ def primal_primal_bound(inst, x, y, cfg=DEFAULT_CONFIG):
     W, A, B, gamma = inst.W, inst.A, inst.B, inst.gamma
     u = -B.apply(y)
     rhs = W.apply(x) + gamma * u
-    z = solve_resolvent(ResolventProblem(W, A, gamma, rhs), cfg)
+    z = solve_resolvent(ResolventProblem(W, A, gamma, rhs))
     value = pairing(x - z, W.apply(x) - W.apply(z)) / gamma
     diag = {"residual": resolvent_residual(W, A, gamma, z, rhs)}
     if inst.modulus is not None:
@@ -94,13 +93,13 @@ def primal_primal_bound(inst, x, y, cfg=DEFAULT_CONFIG):
     return _finalize(value, z, "theta", gamma, diag)
 
 
-def theta_bound(inst, x, cfg=DEFAULT_CONFIG):
+def theta_bound(inst, x):
     """Gauge of the membership of x in zer(A + B): the pairing bound at
     u* = -B(x), with z the warped resolvent of x."""
-    return primal_primal_bound(inst, x, x, cfg)
+    return primal_primal_bound(inst, x, x)
 
 
-def kt_gauge_bound(inst, x, y_star, cfg=DEFAULT_CONFIG):
+def kt_gauge_bound(inst, x, y_star):
     """Sum of the two per-block pairing bounds, divided by gamma; zero
     exactly on the Kuhn-Tucker set."""
     x = as_vector(x)
@@ -108,13 +107,11 @@ def kt_gauge_bound(inst, x, y_star, cfg=DEFAULT_CONFIG):
     gamma, L = inst.gamma, inst.L
 
     rhs_x = inst.W_X.apply(x) - gamma * (L.T @ y_star)
-    zx = solve_resolvent(ResolventProblem(inst.W_X, inst.C, gamma, rhs_x), cfg)
+    zx = solve_resolvent(ResolventProblem(inst.W_X, inst.C, gamma, rhs_x))
     comp_x = pairing(x - zx, inst.W_X.apply(x) - inst.W_X.apply(zx)) / gamma
 
     rhs_y = inst.W_Ystar.apply(y_star) + gamma * (L @ x)
-    zy = solve_resolvent(
-        ResolventProblem(inst.W_Ystar, inst.D_inv, gamma, rhs_y), cfg
-    )
+    zy = solve_resolvent(ResolventProblem(inst.W_Ystar, inst.D_inv, gamma, rhs_y))
     comp_y = pairing(
         y_star - zy, inst.W_Ystar.apply(y_star) - inst.W_Ystar.apply(zy)
     ) / gamma
@@ -132,8 +129,7 @@ def kt_gauge_bound(inst, x, y_star, cfg=DEFAULT_CONFIG):
     )
 
 
-def fr_gauge_bound(f, g_star, phi, psi_star, L, gamma, x, y_star,
-                   cfg=DEFAULT_CONFIG):
+def fr_gauge_bound(f, g_star, phi, psi_star, L, gamma, x, y_star):
     """Fenchel-Rockafellar gauge: symmetrized-Bregman sum over the primal
     block (kernel f, function phi) and the dual block (kernel g*,
     function psi*), divided by gamma."""
@@ -144,18 +140,16 @@ def fr_gauge_bound(f, g_star, phi, psi_star, L, gamma, x, y_star,
         raise ValueError("gamma must be positive")
 
     sx = f.gradient(x) - gamma * (L.T @ y_star)
-    zx = bregman_prox(f, phi, gamma, sx, cfg)
+    zx = bregman_prox(f, phi, gamma, sx)
     sy = g_star.gradient(y_star) + gamma * (L @ x)
-    zy = bregman_prox(g_star, psi_star, gamma, sy, cfg)
+    zy = bregman_prox(g_star, psi_star, gamma, sy)
 
     comp_x = (f.bregman(x, zx) + f.bregman(zx, x)) / gamma
     comp_y = (g_star.bregman(y_star, zy) + g_star.bregman(zy, y_star)) / gamma
-    from .bounds import _near_boundary
-
     diag = {
         "component_primal": max(comp_x, 0.0),
         "component_dual": max(comp_y, 0.0),
-        "near_boundary": _near_boundary(f, zx) or _near_boundary(g_star, zy),
+        "near_boundary": not (f.in_interior(zx) and g_star.in_interior(zy)),
     }
     return _finalize(
         comp_x + comp_y, np.concatenate([zx, zy]), "fr_gauge", gamma, diag

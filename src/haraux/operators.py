@@ -72,8 +72,10 @@ class MonotoneOperator:
         return self.apply(x)
 
     def separable_terms(self):
-        """Per-coordinate (value, derivative, open interval) triples, or
-        None when the operator does not decouple coordinatewise."""
+        """Per-coordinate (value, derivative, open interval, inverse,
+        inverse interval) tuples, or None when the operator does not
+        decouple coordinatewise. The inverse and its open interval are
+        None when the term carries no closed-form inverse."""
         return None
 
     def as_affine(self):
@@ -82,9 +84,10 @@ class MonotoneOperator:
 
 
 def _linear_terms(diag, offset):
-    """Scalar triples of the coordinatewise map z -> m*z + c."""
+    """Scalar terms of the coordinatewise map z -> m*z + c."""
     return [
-        (lambda z, m=m, c=c: m * z + c, lambda z, m=m: m, (-INF, INF))
+        (lambda z, m=m, c=c: m * z + c, lambda z, m=m: m, (-INF, INF),
+         None, None)
         for m, c in zip(diag.tolist(), offset.tolist())
     ]
 
@@ -105,11 +108,9 @@ class GradientOp(MonotoneOperator):
         return self.f.gradient(x)
 
     def separable_terms(self):
-        return [(p.deriv, p.deriv2, p.dom) for p in self.f.parts]
-
-    def interval(self, i):
-        """Open domain interval of coordinate i."""
-        return self.f.parts[i].dom
+        return [
+            (p.deriv, p.deriv2, p.dom, p.deriv_inv, p.conj_dom) for p in self.f.parts
+        ]
 
 
 class SubdifferentialOp(GradientOp):
@@ -208,27 +209,27 @@ class Joca16Op(MonotoneOperator):
 
         (t1, t2) -> (beta*t1 - psi'(t1) - t2, t1 + beta*t2 - psi'(t2))
 
-    for a Legendre psi with a beta-Lipschitz derivative.
+    for a Legendre psi with a beta-Lipschitz derivative, checked on 200
+    interior grid points of the domain (clipped to [-10, 10]).
     """
 
     tag = "joca16"
 
-    def __init__(self, beta, psi, check=True, grid_n=200):
+    def __init__(self, beta, psi):
         if beta <= 0:
             raise ValueError("beta must be positive")
         if not isinstance(psi, ScalarLegendre):
             raise TypeError("psi must be a ScalarLegendre")
-        if check:
-            lo, hi = psi.dom
-            a = lo if np.isfinite(lo) else -10.0
-            b = hi if np.isfinite(hi) else 10.0
-            grid = np.linspace(a, b, grid_n + 2)[1:-1]
-            d = np.array([psi.deriv(t) for t in grid])
-            slopes = np.abs(np.diff(d) / np.diff(grid))
-            if slopes.max() > beta + 1e-8:
-                raise ValueError(
-                    f"psi' exceeds the Lipschitz constant beta={beta} on the grid"
-                )
+        lo, hi = psi.dom
+        a = lo if np.isfinite(lo) else -10.0
+        b = hi if np.isfinite(hi) else 10.0
+        grid = np.linspace(a, b, 202)[1:-1]
+        d = np.array([psi.deriv(t) for t in grid])
+        slopes = np.abs(np.diff(d) / np.diff(grid))
+        if slopes.max() > beta + 1e-8:
+            raise ValueError(
+                f"psi' exceeds the Lipschitz constant beta={beta} on the grid"
+            )
         self.beta = beta
         self.psi = psi
         self.dim_in = self.dim_out = 2

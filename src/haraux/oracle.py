@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INF, as_vector, pairing
-from .operators import GradientOp
+from .core import INF, as_vector
 
 DEFAULT_SEED = 0x48415241
 # Dense-grid defaults; escalation doubles n_per_dim up to the cap.
@@ -35,18 +34,17 @@ class GraphSample:
 
 
 def default_box(A):
-    """Operator domain intersected with [-10, 10]^N, shrunk off open
-    boundaries."""
-    box = []
-    for i in range(A.dim_in):
-        if isinstance(A, GradientOp):
-            lo, hi = A.f.parts[i].dom
-        else:
-            lo, hi = -INF, INF
-        lo = max(lo, -_BOX_CLIP)
-        hi = min(hi, _BOX_CLIP)
-        box.append((lo + _BOX_SHRINK, hi - _BOX_SHRINK))
-    return box
+    """Operator domain (the intervals of its separable terms, else R^N)
+    intersected with [-10, 10]^N, shrunk off open boundaries."""
+    terms = A.separable_terms()
+    if terms is None:
+        intervals = [(-INF, INF)] * A.dim_in
+    else:
+        intervals = [t[2] for t in terms]
+    return [
+        (max(lo, -_BOX_CLIP) + _BOX_SHRINK, min(hi, _BOX_CLIP) - _BOX_SHRINK)
+        for lo, hi in intervals
+    ]
 
 
 def sample_graph(A, box, n_per_dim):

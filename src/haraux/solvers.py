@@ -13,11 +13,17 @@ import numpy as np
 
 from .core import DomainError, as_vector
 from .functions import CompositeQuadPlus, SeparableFunction
-from .operators import GradientOp, Joca16Op, MonotoneOperator
+from .operators import GradientOp, Joca16Op, MonotoneOperator, SubdifferentialOp
 
 # Open domains are shrunk by this much before bracketing, so the solver
 # never evaluates a barrier at (or across) its singularity.
 _SHRINK = 1e-13
+# Absolute residual tolerance, scaled by 1 + |right-hand side|.
+_ATOL = 1e-12
+# Iteration budget of the bracket search and of the Newton loops.
+_MAX_ITER = 200
+# Geometric growth of the bracket search steps.
+_BRACKET_EXPAND = 2.0
 
 
 class NoSolutionError(RuntimeError):
@@ -30,22 +36,6 @@ class ConvergenceError(RuntimeError):
 
 class UnsupportedOperatorError(TypeError):
     """The operator pair is outside the structural classes handled here."""
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    atol: float = 1e-12
-    max_iter: int = 200
-    bracket_expand: float = 2.0
-
-    def __post_init__(self):
-        if self.atol <= 0:
-            raise ValueError("atol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
-DEFAULT_CONFIG = SolveConfig()
 
 
 @dataclass(frozen=True)
@@ -70,7 +60,7 @@ def _shrunk(interval):
     return lo_eff, hi_eff
 
 
-def solve_scalar_increasing(g, dg, interval, target, tol, x0=None, cfg=DEFAULT_CONFIG):
+def solve_scalar_increasing(g, dg, interval, target, tol, x0=None):
     """Root of the strictly increasing g(z) = target on an open interval.
 
     Brackets by geometric expansion from x0, then runs bisection refined
@@ -93,17 +83,16 @@ def solve_scalar_increasing(g, dg, interval, target, tol, x0=None, cfg=DEFAULT_C
     if abs(f0) <= tol:
         return x0
 
-    expand = cfg.bracket_expand
     if f0 > 0:
         # Root lies to the left.
         b, fb = x0, f0
         a = None
         step = max(1.0, abs(x0))
-        for k in range(cfg.max_iter):
+        for k in range(_MAX_ITER):
             if np.isfinite(lo):
-                cand = lo + (x0 - lo) / expand ** (k + 1)
+                cand = lo + (x0 - lo) / _BRACKET_EXPAND ** (k + 1)
             else:
-                cand = x0 - step * expand**k
+                cand = x0 - step * _BRACKET_EXPAND**k
             fc = g(cand) - target
             if fc <= 0:
                 a, fa = cand, fc
@@ -115,11 +104,11 @@ def solve_scalar_increasing(g, dg, interval, target, tol, x0=None, cfg=DEFAULT_C
         a, fa = x0, f0
         b = None
         step = max(1.0, abs(x0))
-        for k in range(cfg.max_iter):
+        for k in range(_MAX_ITER):
             if np.isfinite(hi):
-                cand = hi - (hi - x0) / expand ** (k + 1)
+                cand = hi - (hi - x0) / _BRACKET_EXPAND ** (k + 1)
             else:
-                cand = x0 + step * expand**k
+                cand = x0 + step * _BRACKET_EXPAND**k
             fc = g(cand) - target
             if fc >= 0:
                 b, fb = cand, fc
@@ -135,7 +124,7 @@ def solve_scalar_increasing(g, dg, interval, target, tol, x0=None, cfg=DEFAULT_C
 
     # Safeguarded Newton within the bracket [a, b], fa < 0 < fb.
     x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-    for _ in range(max(80, cfg.max_iter)):
+    for _ in range(_MAX_ITER):
         took_newton = False
         if dg is not None:
             slope = dg(x)
@@ -171,16 +160,16 @@ def _intersect(ivl1, ivl2):
     return lo, hi
 
 
-def solve_resolvent(problem, cfg=DEFAULT_CONFIG):
+def solve_resolvent(problem):
     """Solve W(z) + gamma*A(z) = rhs for the catalog operator classes.
 
     Affine pairs reduce to a linear system; separable pairs decouple into
-    scalar monotone equations; the R^2 rotation example is handled by a
-    closed form when it linearizes and damped Newton otherwise. The output
-    is re-verified by substitution against the residual contract.
+    scalar monotone equations; the R^2 rotation example is handled by
+    damped Newton. The output is re-verified by substitution against the
+    residual contract.
     """
     W, A, gamma, rhs = problem.W, problem.A, problem.gamma, problem.rhs
-    tol = cfg.atol * (1.0 + float(np.max(np.abs(rhs))))
+    tol = _ATOL * (1.0 + float(np.max(np.abs(rhs))))
 
     # A is asked first so a diagonal W builds no dense matrix when A is
     # not affine.
@@ -190,7 +179,7 @@ def solve_resolvent(problem, cfg=DEFAULT_CONFIG):
         (Mw, bw), (Ma, ba) = w_aff, a_aff
         z = np.linalg.solve(Mw + gamma * Ma, rhs - bw - gamma * ba)
     elif isinstance(A, Joca16Op):
-        z = _solve_joca16(W, A, gamma, rhs, tol, cfg)
+        z = _solve_joca16(W, A, gamma, rhs, tol)
     else:
         wt = W.separable_terms()
         at = A.separable_terms()
@@ -199,16 +188,16 @@ def solve_resolvent(problem, cfg=DEFAULT_CONFIG):
                 f"no resolvent route for {type(W).__name__} + {type(A).__name__}"
             )
         z = np.empty_like(rhs)
-        for i, ((w, dw, wiv), (a, da, aiv)) in enumerate(zip(wt, at)):
+        for i, ((w, dw, wiv, w_inv, w_inv_dom), (a, da, aiv, _, _)) in enumerate(
+            zip(wt, at)
+        ):
             interval = _intersect(wiv, aiv)
             g = lambda t, w=w, a=a: w(t) + gamma * a(t)
             dg = None
             if dw is not None and da is not None:
                 dg = lambda t, dw=dw, da=da: dw(t) + gamma * da(t)
-            x0 = _initial_guess(W, i, rhs[i], gamma, interval)
-            z[i] = solve_scalar_increasing(
-                g, dg, interval, rhs[i], tol, x0=x0, cfg=cfg
-            )
+            x0 = _initial_guess(w_inv, w_inv_dom, rhs[i], gamma, interval)
+            z[i] = solve_scalar_increasing(g, dg, interval, rhs[i], tol, x0=x0)
 
     res = resolvent_residual(W, A, gamma, z, rhs)
     if res > tol:
@@ -218,48 +207,39 @@ def solve_resolvent(problem, cfg=DEFAULT_CONFIG):
     return z
 
 
-def _initial_guess(W, i, r, gamma, interval):
-    """Domain-interior start: deriv_inv(r/(1+gamma)) when W supplies it."""
-    if isinstance(W, GradientOp):
-        part = W.f.parts[i]
-        s = r / (1.0 + gamma)
-        lo, hi = part.conj_dom
-        if lo < s < hi:
-            cand = part.deriv_inv(s)
-            lo_eff, hi_eff = _shrunk(interval)
-            if lo_eff < cand < hi_eff:
-                return cand
+def _initial_guess(inverse, inverse_dom, r, gamma, interval):
+    """Domain-interior start: the kernel term's inverse at r/(1+gamma),
+    when the term has one."""
+    if inverse is None:
+        return None
+    s = r / (1.0 + gamma)
+    lo, hi = inverse_dom
+    if lo < s < hi:
+        cand = inverse(s)
+        lo_eff, hi_eff = _shrunk(interval)
+        if lo_eff < cand < hi_eff:
+            return cand
     return None
 
 
-def _solve_joca16(W, A, gamma, rhs, tol, cfg):
+def _solve_joca16(W, A, gamma, rhs, tol):
     beta, psi = A.beta, A.psi
-    rot = np.array([[beta, -1.0], [1.0, beta]])
 
-    same_kernel = (
-        isinstance(W, GradientOp)
-        and all(p.name == psi.name for p in W.f.parts)
-    )
-    if same_kernel and gamma == 1.0:
-        # W(z) cancels the -psi' terms: W + A is the linear map rot.
-        return np.linalg.solve(rot, rhs)
-
-    w_aff = None
-    if isinstance(W, GradientOp):
-        w_fn = W.f.gradient
-        w_d2 = [p.deriv2 for p in W.f.parts]
+    # The kernel Jacobian is its matrix when W is affine, else the
+    # diagonal of its terms' second derivatives.
+    w_aff = W.as_affine()
+    if w_aff is None:
+        w_terms = W.separable_terms()
+        if w_terms is None:
+            raise UnsupportedOperatorError("unsupported kernel for the R^2 example")
+        w_d2 = [term[1] for term in w_terms]
         if any(d is None for d in w_d2):
             raise UnsupportedOperatorError("kernel parts need second derivatives")
-    else:
-        w_aff = W.as_affine()
-        if w_aff is None:
-            raise UnsupportedOperatorError("unsupported kernel for the R^2 example")
-        w_fn = W.apply
     if psi.deriv2 is None:
         raise UnsupportedOperatorError("psi needs a second derivative")
 
     def F(z):
-        return w_fn(z) + gamma * A.apply(z) - rhs
+        return W.apply(z) + gamma * A.apply(z) - rhs
 
     def J(z):
         JA = np.array(
@@ -271,14 +251,14 @@ def _solve_joca16(W, A, gamma, rhs, tol, cfg):
         if w_aff is not None:
             JW = w_aff[0]
         else:
-            JW = np.diag([w_d2[0](z[0]), w_d2[1](z[1])])
+            JW = np.diag([d(t) for d, t in zip(w_d2, z)])
         return JW + gamma * JA
 
     # Damped Newton from a domain-interior start.
     lo, hi = _shrunk(psi.dom)
     z = np.array([min(max(0.0, lo + 1e-3), hi - 1e-3)] * 2) if np.isfinite(lo) and np.isfinite(hi) else np.zeros(2)
     fz = F(z)
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         if float(np.max(np.abs(fz))) <= tol:
             return z
         step = np.linalg.solve(J(z), fz)
@@ -303,7 +283,7 @@ def resolvent_residual(W, A, gamma, z, rhs):
     return float(np.max(np.abs(W.apply(z) + gamma * A.apply(z) - as_vector(rhs))))
 
 
-def prox(phi, gamma, x, cfg=DEFAULT_CONFIG):
+def prox(phi, gamma, x):
     """(Id + gamma * d phi)^{-1} x, coordinatewise.
 
     Uses catalog closed forms when the scalar part carries one, and the
@@ -314,13 +294,13 @@ def prox(phi, gamma, x, cfg=DEFAULT_CONFIG):
         raise ValueError("gamma must be positive")
     x = as_vector(x)
     if isinstance(phi, CompositeQuadPlus):
-        return prox(phi.psi, gamma / (1.0 + gamma), x / (1.0 + gamma), cfg)
+        return prox(phi.psi, gamma / (1.0 + gamma), x / (1.0 + gamma))
     if not isinstance(phi, SeparableFunction):
         raise TypeError("prox requires a SeparableFunction or CompositeQuadPlus")
     if x.shape[0] != phi.dim:
         raise DomainError("dimension mismatch in prox")
 
-    tol = cfg.atol * (1.0 + float(np.max(np.abs(x))))
+    tol = _ATOL * (1.0 + float(np.max(np.abs(x))))
     out = np.empty_like(x)
     for i, (p, xi) in enumerate(zip(phi.parts, x)):
         if p.prox_fn is not None:
@@ -330,11 +310,11 @@ def prox(phi, gamma, x, cfg=DEFAULT_CONFIG):
             dg = None
             if p.deriv2 is not None:
                 dg = lambda t, p=p: 1.0 + gamma * p.deriv2(t)
-            out[i] = solve_scalar_increasing(g, dg, p.dom, xi, tol, cfg=cfg)
+            out[i] = solve_scalar_increasing(g, dg, p.dom, xi, tol)
     return out
 
 
-def bregman_prox(f, phi, gamma, s, cfg=DEFAULT_CONFIG):
+def bregman_prox(f, phi, gamma, s):
     """Solve grad f(z) + gamma * grad phi(z) = s coordinatewise.
 
     The start point is deriv_inv(s_i/(1+gamma)) of the kernel part when
@@ -349,11 +329,8 @@ def bregman_prox(f, phi, gamma, s, cfg=DEFAULT_CONFIG):
     if f.dim != phi.dim or s.shape[0] != f.dim:
         raise DomainError("dimension mismatch in bregman_prox")
 
-    W = GradientOp(f)
-    from .operators import SubdifferentialOp
-
-    A = SubdifferentialOp(phi)
-    return solve_resolvent(ResolventProblem(W, A, gamma, s), cfg)
+    problem = ResolventProblem(GradientOp(f), SubdifferentialOp(phi), gamma, s)
+    return solve_resolvent(problem)
 
 
 def lambert_w(t):
@@ -397,11 +374,11 @@ def lambert_w_of_exp(a):
     return w
 
 
-def warped_resolvent(W, A, B, gamma, x, cfg=DEFAULT_CONFIG):
+def warped_resolvent(W, A, B, gamma, x):
     """(W + gamma*A)^{-1}(W(x) - gamma*B(x)).
 
     Fixed points are exactly the zeros of A + B inside dom W.
     """
     x = as_vector(x)
     rhs = W.apply(x) - gamma * B.apply(x)
-    return solve_resolvent(ResolventProblem(W, A, gamma, rhs), cfg)
+    return solve_resolvent(ResolventProblem(W, A, gamma, rhs))

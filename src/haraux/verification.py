@@ -17,9 +17,8 @@ from .operators import (
     SubdifferentialOp,
     identity,
     monotonicity_probe,
-    strong,
 )
-from .solvers import ResolventProblem, bregman_prox, lambert_w, prox, solve_resolvent
+from .solvers import bregman_prox, lambert_w, prox
 
 # Interior sampling boxes for the catalog functions.
 _SAMPLE_BOX = {

@@ -86,6 +86,20 @@ class TestClosedForms:
             rhs = math.log(xi / (1 - xi)) + g * mu
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    @pytest.mark.parametrize("x, u", [
+        (0.9999999962367657, 0.008820355623250996),  # r ~ 3e8: zeta cancels to 1
+        (1.0 - 1e-9, 0.01),
+        (1.0 - 1e-9, 10.0),
+        (1.0 - 1e-9, 700.0),  # r overflows
+        (1e-12, -1000.0),  # r underflows
+    ])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_fermi_dirac_closed_form_at_the_edges(self, x, u, gamma):
+        value, zeta = fermi_dirac_bound_closed([x], [u], gamma)
+        exact = exact_fenchel_young(functions.boltzmann_shannon(), DualPair([x], [u]))
+        assert math.isfinite(value) and np.all(np.isfinite(zeta))
+        assert 0.0 <= value <= exact + 1e-9 * (1.0 + abs(exact))
+
     def test_fermi_dirac_bound_nonnegative(self, rng):
         for _ in range(30):
             xi = rng.uniform(0.05, 0.95)
@@ -179,6 +193,12 @@ class TestDiagnostics:
         with pytest.raises(DomainError):
             bound_bregman(functions.burg(), SubdifferentialOp(functions.burg()),
                           DualPair([-1.0], [-1.0]), 1.0)
+        # exp overflows in grad phi* and phi* of Boltzmann-Shannon at u* = 2000.
+        bs, p = functions.boltzmann_shannon(), DualPair([1.0], [2000.0])
+        with pytest.raises(DomainError):
+            fy_bound_dispatch(bs, None, p, 1.0, "legendre_self")
+        with pytest.raises(DomainError):
+            exact_fenchel_young(bs, p)
 
     def test_fitzpatrick_shift(self):
         p = DualPair([2.0], [3.0])

@@ -63,14 +63,22 @@ class TestBoundCommand:
         assert row[0] == "1;2"
 
     def test_operator_route(self, capsys):
-        code, out, _ = _run(capsys, [
-            "bound", "--op-a", "subdiff:burg", "--point", "1;-0.5",
-            "--method", "carlier_haraux",
-        ])
+        args = ["bound", "--op-a", "subdiff:burg", "--point", "1;-0.5"]
+        code, out, _ = _run(capsys, args + ["--method", "carlier_haraux"])
         assert code == 0
         row = dict(zip(cli.BOUND_HEADER, out.strip().splitlines()[1].split(",")))
         assert float(row["bound"]) == pytest.approx(0.0788353903933773, abs=1e-12)
         assert row["exact"] == ""  # no closed form without phi
+        # Without --method the operator route computes pairing.
+        code, out, _ = _run(capsys, args)
+        assert code == 0
+        row = dict(zip(cli.BOUND_HEADER, out.strip().splitlines()[1].split(",")))
+        assert row["method"] == "pairing"
+        # The self-pair and prox bounds need --phi: no silent relabelling.
+        for method in ("legendre_self", "carlier_fy"):
+            code, out, err = _run(capsys, args + ["--method", method])
+            assert code == cli.EXIT_CONFIG and out == ""
+            assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "b.csv"
@@ -272,6 +280,10 @@ class TestConfigAndSeed:
         cfg.write_text("nonsense=1\n")
         code, _, _ = _run(capsys, ["--config", str(cfg), "verify"])
         assert code == cli.EXIT_CONFIG
+        # Only verify samples, so only verify takes a seed.
+        cfg.write_text("phi=burg\npoint=1;-0.5\nseed=3\n")
+        code, _, err = _run(capsys, ["--config", str(cfg), "bound"])
+        assert code == cli.EXIT_CONFIG and "seed" in err
 
     def test_seed_env_variable(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HARAUX_SEED", "12345")

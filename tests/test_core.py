@@ -8,7 +8,6 @@ from haraux.core import (
     DimensionMismatchError,
     DualPair,
     as_vector,
-    close,
     pairing,
     xadd,
 )
@@ -66,20 +65,6 @@ class TestXadd:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             xadd(1.0, math.nan)
-
-
-class TestClose:
-    def test_absolute(self):
-        assert close(1.0, 1.0 + 5e-11)
-        assert not close(1.0, 1.0 + 5e-9)
-
-    def test_relative(self):
-        assert close(1e8, 1e8 * (1 + 5e-11))
-
-    def test_inf_only_matches_inf(self):
-        assert close(INF, INF)
-        assert not close(INF, 1e300)
-        assert not close(1e300, INF)
 
 
 class TestDualPair:

@@ -48,7 +48,9 @@ class TestGradientOp:
     def test_apply_and_interval(self):
         op = GradientOp(functions.burg(2))
         np.testing.assert_allclose(op.apply([1.0, 2.0]), [-1.0, -0.5])
-        assert op.interval(0) == (0.0, np.inf)
+        _, _, interval, inverse, inverse_dom = op.separable_terms()[0]
+        assert interval == (0.0, np.inf)
+        assert inverse(-0.5) == 2.0 and inverse_dom == (-np.inf, 0.0)
 
     def test_subdifferential_tag(self):
         op = SubdifferentialOp(functions.quadratic())
@@ -120,8 +122,9 @@ class TestDiagonalOp:
         M, b = diag.as_affine()
         np.testing.assert_array_equal(M, np.diag([2.0, 0.5]))
         np.testing.assert_array_equal(b, [1.0, -1.0])
-        (v, dv, ivl), _ = diag.separable_terms()
+        (v, dv, ivl, inv, inv_dom), _ = diag.separable_terms()
         assert (v(3.0), dv(3.0), ivl) == (7.0, 2.0, (-np.inf, np.inf))
+        assert inv is None and inv_dom is None  # linear terms give no start
         assert AffineOp([[1.0, 0.5], [0.0, 1.0]]).separable_terms() is None
         assert len(AffineOp(np.eye(3)).separable_terms()) == 3
         grad = GradientOp(functions.burg(2))
