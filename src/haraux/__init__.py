@@ -3,7 +3,6 @@ gauges for composite monotone inclusions."""
 
 from .core import DualPair, pairing
 from .functions import (
-    CompositeQuadPlus,
     ScalarLegendre,
     SeparableFunction,
     boltzmann_shannon,

@@ -8,9 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DomainError, pairing
-from .functions import CompositeQuadPlus, SeparableFunction
 from .operators import GradientOp, SubdifferentialOp, identity
 from .solvers import (
+    ConvergenceError,
+    NoSolutionError,
     ResolventProblem,
     prox,
     resolvent_residual,
@@ -83,9 +84,13 @@ def _is_op_of(A, name):
 
 
 def burg_self_bound_closed(x, u, gamma):
-    """Closed form of the Bregman bound for the Burg self-pair."""
+    """Closed form of the Bregman bound for the Burg self-pair. The
+    resolvent has a solution only where 1 - gamma*x*u* > 0."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
+    if np.any(1.0 - gamma * x * u <= 0.0):
+        raise NoSolutionError("the Burg self-pair resolvent has no solution "
+                              "where 1 - gamma*x*u* <= 0")
     z = (1.0 + gamma) * x / (1.0 - gamma * x * u)
     value = float(
         np.sum(gamma * (1.0 + x * u) ** 2 / ((1.0 + gamma) * (1.0 - gamma * x * u)))
@@ -175,7 +180,8 @@ def bound_bregman(f, A, p, gamma):
 
     Catalog pairs (Burg self-pair, Fermi-Dirac over Boltzmann-Shannon) use
     their closed forms as the authoritative value; the generic solver
-    result is recorded in the diagnostics as a cross-check.
+    result is recorded in the diagnostics as a cross-check, and so is its
+    failure, which leaves the closed form standing.
     """
     x, u = p.x, p.u_star
     if not f.in_interior(x):
@@ -193,11 +199,17 @@ def bound_bregman(f, A, p, gamma):
         method = "fermi_dirac_closed"
 
     diag = {}
-    z_num = solve_resolvent(ResolventProblem(W, A, gamma, rhs))
-    diag["residual"] = resolvent_residual(W, A, gamma, z_num, rhs)
+    try:
+        z_num = solve_resolvent(ResolventProblem(W, A, gamma, rhs))
+    except (NoSolutionError, ConvergenceError) as exc:
+        if closed is None:
+            raise
+        diag["crosscheck_error"] = f"{type(exc).__name__}: {exc}"
+        z_num = None
     if closed is not None:
         value, z = closed
-        diag["solver_z_gap"] = float(np.max(np.abs(z - z_num)))
+        if z_num is not None:
+            diag["solver_z_gap"] = float(np.max(np.abs(z - z_num)))
     else:
         z = z_num
         if not f.in_interior(z):
@@ -206,6 +218,12 @@ def bound_bregman(f, A, p, gamma):
                 "terms are +inf"
             )
         value = (f.bregman(x, z) + f.bregman(z, x)) / gamma
+    # Without a cross-check the residual is taken at the closed-form z;
+    # it is +inf when that z is within the boundary tolerance of dom f,
+    # where the gradient is not evaluated.
+    z_res = z if z_num is None else z_num
+    diag["residual"] = (resolvent_residual(W, A, gamma, z_res, rhs)
+                        if f.in_interior(z_res) else math.inf)
     diag["near_boundary"] = not f.in_interior(z)
     return _finalize(value, z, method, gamma, diag)
 
@@ -214,16 +232,10 @@ def bound_legendre_self(phi, p, gamma):
     """<x - z, grad phi(x) - u*> / (1 + gamma) with
     z = grad phi*((grad phi(x) + gamma*u*) / (1 + gamma))."""
     x, u = p.x, p.u_star
-    if isinstance(phi, CompositeQuadPlus):
-        gx = phi.gradient(x)
-        z = prox(phi.psi, 1.0, (gx + gamma * u) / (1.0 + gamma))
-    elif isinstance(phi, SeparableFunction):
-        if not phi.in_interior(x):
-            raise DomainError("x must lie strictly inside dom phi")
-        gx = phi.gradient(x)
-        z = phi.grad_conj((gx + gamma * u) / (1.0 + gamma))
-    else:
-        raise TypeError("unsupported function type for the self-pair bound")
+    if not phi.in_interior(x):
+        raise DomainError("x must lie strictly inside dom phi")
+    gx = phi.gradient(x)
+    z = phi.grad_conj((gx + gamma * u) / (1.0 + gamma))
     value = pairing(x - z, gx - u) / (1.0 + gamma)
     return _finalize(value, z, "legendre_self", gamma, {})
 
@@ -257,8 +269,6 @@ def fy_bound_dispatch(phi, f, p, gamma, method):
         return bound_carlier_fy(phi, p, gamma)
     if method == "legendre_self":
         return bound_legendre_self(phi, p, gamma)
-    if not isinstance(phi, SeparableFunction):
-        raise TypeError(f"method {method!r} needs a separable phi")
     if method not in FY_METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "bregman" and f is None:

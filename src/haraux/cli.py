@@ -294,18 +294,24 @@ def cmd_figure1(args):
     return EXIT_OK
 
 
-def _load_gauge_instance(path):
-    cfg = {}
+def _read_key_values(path, what):
+    """(key, value) pairs of a key=value file; blank and '#' lines are
+    skipped. ``what`` names the file in the error message."""
     try:
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                cfg[key.strip()] = value.strip()
+            lines = [line.strip() for line in fh]
     except OSError as exc:
-        raise ConfigError(f"cannot read instance file {path}: {exc}") from None
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
+    pairs = []
+    for line in lines:
+        if line and not line.startswith("#"):
+            key, _, value = line.partition("=")
+            pairs.append((key.strip(), value.strip()))
+    return pairs
+
+
+def _load_gauge_instance(path):
+    cfg = dict(_read_key_values(path, "instance"))
     kind = cfg.get("type", "kt_linear_quadratic")
     if kind != "kt_linear_quadratic":
         raise ConfigError(f"unknown gauge instance type {kind!r}")
@@ -396,26 +402,16 @@ def _build_parser():
 
 
 def _apply_config(args, path):
-    try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                key = key.strip().replace("-", "_")
-                value = value.strip()
-                if not hasattr(args, key):
-                    raise ConfigError(f"unknown config key {key!r}")
-                current = getattr(args, key)
-                if current is None:
-                    if key == "seed":
-                        value = int(value)
-                    elif key == "point":
-                        value = [value]
-                    setattr(args, key, value)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    for key, value in _read_key_values(path, "config"):
+        key = key.replace("-", "_")
+        if not hasattr(args, key):
+            raise ConfigError(f"unknown config key {key!r}")
+        if getattr(args, key) is None:
+            if key == "seed":
+                value = int(value)
+            elif key == "point":
+                value = [value]
+            setattr(args, key, value)
 
 
 def _resolve_bound_defaults(args):
@@ -428,6 +424,9 @@ def _resolve_bound_defaults(args):
         args.method = "pairing" if args.op_a and not args.phi else "legendre_self"
     if args.method not in BOUND_METHODS:
         raise ConfigError(f"unknown method {args.method!r}")
+    if args.method == "carlier_haraux" and args.phi:
+        raise ConfigError("method 'carlier_haraux' bounds H_A of an operator: "
+                          "it needs --op-a in place of --phi")
 
 
 def main(argv=None):

@@ -2,7 +2,9 @@
 
 Each scalar building block carries its value, derivative, inverse
 derivative and conjugate in closed form, so that separable functions on
-R^N evaluate coordinatewise without any numerical conjugation.
+R^N evaluate coordinatewise without any numerical conjugation. The
+composite t^2/2 + psi(t) takes its inverse derivative and conjugate from
+the prox of psi.
 """
 
 import math
@@ -25,7 +27,8 @@ class ScalarLegendre:
     endpoints. ``deriv`` must be strictly increasing on ``dom`` and
     ``deriv_inv`` inverts it on its range. ``boundary_values`` optionally
     supplies finite values on the closed hull of ``dom``. ``prox_fn``,
-    when present, is a closed form for (Id + gamma * deriv)^{-1}.
+    when present, evaluates (Id + gamma * deriv)^{-1}; without it the
+    prox is a generic scalar solve.
     """
 
     name: str
@@ -167,61 +170,18 @@ class SeparableFunction:
         return SeparableFunction([p.conjugate() for p in self.parts])
 
 
-class CompositeQuadPlus:
-    """phi = ||.||^2/2 + psi for a separable Legendre psi.
+def _envelope(p, s):
+    """inf_y p(y) + (s - y)^2 / 2 for one scalar part, through its prox."""
+    from .solvers import _prox_part
 
-    The conjugate is ||.||^2/2 minus the Moreau envelope of psi, and the
-    gradient of the conjugate is prox_psi.
-    """
-
-    def __init__(self, psi):
-        if not isinstance(psi, SeparableFunction):
-            raise TypeError("psi must be a SeparableFunction")
-        self.psi = psi
-        self.dim = psi.dim
-
-    @property
-    def name(self):
-        return f"quad_plus:{self.psi.name}"
-
-    def __call__(self, x):
-        x = _check_dim(x, self.dim)
-        return xadd(float(np.dot(x, x)) / 2.0, self.psi(x))
-
-    def in_interior(self, x):
-        return self.psi.in_interior(x)
-
-    def gradient(self, x):
-        x = _check_dim(x, self.dim)
-        return x + self.psi.gradient(x)
-
-    def grad_conj(self, s):
-        from .solvers import prox
-
-        return prox(self.psi, 1.0, _check_dim(s, self.dim))
-
-    def conjugate_eval(self, u_star):
-        u = _check_dim(u_star, self.dim)
-        return float(np.dot(u, u)) / 2.0 - moreau_envelope(self.psi, u)
-
-    def fenchel_young(self, x, u_star):
-        x = _check_dim(x, self.dim)
-        u = _check_dim(u_star, self.dim)
-        px = self.psi(x)
-        if px == INF:
-            return INF
-        d = x - u
-        return float(np.dot(d, d)) / 2.0 + px - moreau_envelope(self.psi, u)
+    y = _prox_part(p, 1.0, s)
+    return p.eval(y) + 0.5 * (s - y) ** 2
 
 
 def moreau_envelope(psi, x):
-    """inf_y psi(y) + ||x - y||^2 / 2, evaluated through prox_psi."""
-    from .solvers import prox
-
-    x = as_vector(x)
-    p = prox(psi, 1.0, x)
-    d = x - p
-    return psi(p) + float(np.dot(d, d)) / 2.0
+    """inf_y psi(y) + ||x - y||^2 / 2, summed over the parts of psi."""
+    x = _check_dim(x, psi.dim)
+    return xadd(*(_envelope(p, s) for p, s in zip(psi.parts, x)))
 
 
 # --------------------------------------------------------------------------
@@ -288,6 +248,14 @@ def _boltzmann_shannon_scalar():
     )
 
 
+def _logistic(s):
+    """1/(1 + e^-s); where e^-s overflows, e^s, which equals it in floats."""
+    try:
+        return 1.0 / (1.0 + math.exp(-s))
+    except OverflowError:
+        return math.exp(s)
+
+
 def _fermi_dirac_scalar():
     # t ln t + (1-t) ln(1-t) on (0, 1), value 0 at both endpoints;
     # conjugate ln(1 + exp(s)) on R.
@@ -302,7 +270,7 @@ def _fermi_dirac_scalar():
         dom=(0.0, 1.0),
         value=lambda t: t * math.log(t) + (1.0 - t) * math.log(1.0 - t),
         deriv=lambda t: math.log(t) - math.log(1.0 - t),
-        deriv_inv=lambda s: 1.0 / (1.0 + math.exp(-s)),
+        deriv_inv=_logistic,
         conj_dom=(-INF, INF),
         conj_value=_conj,
         deriv2=lambda t: 1.0 / (t * (1.0 - t)),
@@ -316,6 +284,36 @@ _SCALAR_CATALOG = {
     "boltzmann_shannon": _boltzmann_shannon_scalar,
     "fermi_dirac": _fermi_dirac_scalar,
 }
+
+
+def _quad_plus_scalar(psi):
+    """t^2/2 + psi(t) on the domain of psi. Its inverse derivative is
+    prox_psi, its conjugate s^2/2 minus the Moreau envelope of psi, and its
+    prox with step gamma is prox_{gamma/(1+gamma) psi}(t/(1+gamma))."""
+    from .solvers import _prox_part
+
+    return ScalarLegendre(
+        name="quad_plus:" + psi.name,
+        dom=psi.dom,
+        value=lambda t: 0.5 * t * t + psi.value(t),
+        deriv=lambda t: t + psi.deriv(t),
+        deriv_inv=lambda s: _prox_part(psi, 1.0, s),
+        conj_dom=(-INF, INF),
+        conj_value=lambda s: 0.5 * s * s - _envelope(psi, s),
+        deriv2=lambda t: 1.0 + psi.deriv2(t),
+        boundary_values={t: 0.5 * t * t + v for t, v in psi.boundary_values.items()},
+        prox_fn=lambda t, gamma: _prox_part(psi, gamma / (1.0 + gamma), t / (1.0 + gamma)),
+    )
+
+
+def _scalar_from_name(name):
+    if name.startswith("quad_plus:"):
+        return _quad_plus_scalar(_scalar_from_name(name.split(":", 1)[1]))
+    try:
+        scalar = _SCALAR_CATALOG[name]
+    except KeyError:
+        raise ValueError(f"unknown function name {name!r}") from None
+    return scalar()
 
 
 def quadratic(dim=1):
@@ -338,15 +336,6 @@ def from_name(name, dim=1):
     """Resolve a catalog function by its CLI name.
 
     Supports "quadratic", "burg", "boltzmann_shannon", "fermi_dirac" and
-    "quad_plus:<inner>".
+    "quad_plus:<inner>" (||.||^2/2 plus the inner function).
     """
-    if name.startswith("quad_plus:"):
-        inner = from_name(name.split(":", 1)[1], dim)
-        if not isinstance(inner, SeparableFunction):
-            raise ValueError("quad_plus requires a separable inner function")
-        return CompositeQuadPlus(inner)
-    try:
-        scalar = _SCALAR_CATALOG[name]
-    except KeyError:
-        raise ValueError(f"unknown function name {name!r}") from None
-    return SeparableFunction(scalar(), dim)
+    return SeparableFunction(_scalar_from_name(name), dim)

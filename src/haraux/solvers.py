@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, as_vector
-from .functions import CompositeQuadPlus, SeparableFunction
 from .operators import GradientOp, Joca16Op, MonotoneOperator, SubdifferentialOp
 
 # Open domains are shrunk by this much before bracketing, so the solver
@@ -283,34 +282,32 @@ def resolvent_residual(W, A, gamma, z, rhs):
     return float(np.max(np.abs(W.apply(z) + gamma * A.apply(z) - as_vector(rhs))))
 
 
-def prox(phi, gamma, x):
-    """(Id + gamma * d phi)^{-1} x, coordinatewise.
+def _prox_part(p, gamma, t, tol=None):
+    """(Id + gamma * p.deriv)^{-1} t for one scalar part: its closed form
+    when it carries one, else the generic monotone solve."""
+    if p.prox_fn is not None:
+        return p.prox_fn(t, gamma)
+    if tol is None:
+        tol = _ATOL * (1.0 + abs(t))
+    g = lambda z: z + gamma * p.deriv(z)
+    dg = None
+    if p.deriv2 is not None:
+        dg = lambda z: 1.0 + gamma * p.deriv2(z)
+    return solve_scalar_increasing(g, dg, p.dom, t, tol)
 
-    Uses catalog closed forms when the scalar part carries one, and the
-    generic monotone solve otherwise. CompositeQuadPlus reduces to a
-    rescaled prox of its inner function.
-    """
+
+def prox(phi, gamma, x):
+    """(Id + gamma * d phi)^{-1} x, coordinatewise."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     x = as_vector(x)
-    if isinstance(phi, CompositeQuadPlus):
-        return prox(phi.psi, gamma / (1.0 + gamma), x / (1.0 + gamma))
-    if not isinstance(phi, SeparableFunction):
-        raise TypeError("prox requires a SeparableFunction or CompositeQuadPlus")
     if x.shape[0] != phi.dim:
         raise DomainError("dimension mismatch in prox")
 
     tol = _ATOL * (1.0 + float(np.max(np.abs(x))))
     out = np.empty_like(x)
     for i, (p, xi) in enumerate(zip(phi.parts, x)):
-        if p.prox_fn is not None:
-            out[i] = p.prox_fn(xi, gamma)
-        else:
-            g = lambda t, p=p: t + gamma * p.deriv(t)
-            dg = None
-            if p.deriv2 is not None:
-                dg = lambda t, p=p: 1.0 + gamma * p.deriv2(t)
-            out[i] = solve_scalar_increasing(g, dg, p.dom, xi, tol)
+        out[i] = _prox_part(p, gamma, xi, tol)
     return out
 
 
@@ -324,13 +321,10 @@ def bregman_prox(f, phi, gamma, s):
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     s = as_vector(s)
-    if not isinstance(f, SeparableFunction) or not isinstance(phi, SeparableFunction):
-        raise TypeError("bregman_prox requires separable functions")
-    if f.dim != phi.dim or s.shape[0] != f.dim:
+    W, A = GradientOp(f), SubdifferentialOp(phi)
+    if W.dim_in != A.dim_in or s.shape[0] != W.dim_in:
         raise DomainError("dimension mismatch in bregman_prox")
-
-    problem = ResolventProblem(GradientOp(f), SubdifferentialOp(phi), gamma, s)
-    return solve_resolvent(problem)
+    return solve_resolvent(ResolventProblem(W, A, gamma, s))
 
 
 def lambert_w(t):

@@ -6,6 +6,7 @@ import pytest
 from haraux import bounds, functions
 from haraux.core import DomainError, DualPair
 from haraux.operators import GradientOp, SubdifferentialOp, identity, strong
+from haraux.solvers import NoSolutionError
 from haraux.bounds import (
     FY_METHODS,
     BoundResult,
@@ -74,6 +75,9 @@ class TestClosedForms:
             assert (1 + g) * (-1.0 / z[0]) == pytest.approx(
                 -1.0 / xi + g * mu, rel=1e-12
             )
+        # Where 1 - g*x*u* <= 0 the resolvent has no solution in (0, inf).
+        with pytest.raises(NoSolutionError):
+            burg_self_bound_closed([0.5], [4.0], 1.0)
 
     def test_zeta_satisfies_resolvent_equation(self, rng):
         # ln(z/(1-z)) + g*ln z = ln(x/(1-x)) + g*u.
@@ -96,9 +100,14 @@ class TestClosedForms:
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_fermi_dirac_closed_form_at_the_edges(self, x, u, gamma):
         value, zeta = fermi_dirac_bound_closed([x], [u], gamma)
-        exact = exact_fenchel_young(functions.boltzmann_shannon(), DualPair([x], [u]))
+        bs, p = functions.boltzmann_shannon(), DualPair([x], [u])
+        exact = exact_fenchel_young(bs, p)
         assert math.isfinite(value) and np.all(np.isfinite(zeta))
         assert 0.0 <= value <= exact + 1e-9 * (1.0 + abs(exact))
+        # A failed generic cross-check is recorded, not raised.
+        b = bound_bregman(functions.fermi_dirac(), SubdifferentialOp(bs), p, gamma)
+        assert b.value == value and np.array_equal(b.z, zeta)
+        assert ("solver_z_gap" in b.diagnostics) != ("crosscheck_error" in b.diagnostics)
 
     def test_fermi_dirac_bound_nonnegative(self, rng):
         for _ in range(30):
@@ -109,13 +118,18 @@ class TestClosedForms:
 
 
 class TestOrderingAndDomination:
-    @pytest.mark.parametrize("name", ["quadratic", "burg", "boltzmann_shannon"])
+    @pytest.mark.parametrize("name", [
+        "quadratic", "burg", "boltzmann_shannon", "quad_plus:quadratic",
+        "quad_plus:burg", "quad_plus:boltzmann_shannon", "quad_plus:fermi_dirac",
+    ])
     def test_bounds_below_exact(self, name, rng):
         phi = functions.from_name(name)
+        inner = name.split(":")[-1]
         box = {"quadratic": (-4, 4), "burg": (0.2, 4.0),
-               "boltzmann_shannon": (0.2, 4.0)}[name]
+               "boltzmann_shannon": (0.2, 4.0), "fermi_dirac": (0.05, 0.95)}[inner]
+        # The conjugate of ||.||^2/2 + psi is finite everywhere.
         cbox = {"quadratic": (-4, 4), "burg": (-4.0, -0.2),
-                "boltzmann_shannon": (-2.0, 2.0)}[name]
+                "boltzmann_shannon": (-2.0, 2.0)}.get(name, (-4.0, 4.0))
         for _ in range(25):
             p = DualPair([rng.uniform(*box)], [rng.uniform(*cbox)])
             exact = exact_fenchel_young(phi, p)
@@ -199,6 +213,12 @@ class TestDiagnostics:
             fy_bound_dispatch(bs, None, p, 1.0, "legendre_self")
         with pytest.raises(DomainError):
             exact_fenchel_young(bs, p)
+        # At u* = -2000 e^-s overflows in the Fermi-Dirac grad phi*
+        # 1/(1 + e^-s), whose value e^s is finite: a bound, not an error.
+        fd, p = functions.fermi_dirac(), DualPair([0.5], [-2000.0])
+        b = fy_bound_dispatch(fd, None, p, 1.0, "legendre_self")
+        assert b.z[0] == 0.0
+        assert 0.0 <= b.value <= exact_fenchel_young(fd, p)
 
     def test_fitzpatrick_shift(self):
         p = DualPair([2.0], [3.0])

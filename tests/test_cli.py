@@ -154,6 +154,31 @@ class TestErrorPaths:
         assert code == cli.EXIT_CONFIG
 
 
+_CATALOG = ["quadratic", "burg", "boltzmann_shannon", "fermi_dirac"]
+_CATALOG += ["quad_plus:" + name for name in _CATALOG]
+_CATALOG_CALLS = (
+    [["--phi", name, "--method", m] for name in _CATALOG for m in cli.BOUND_METHODS]
+    + [["--op-a", f"{kind}:{name}", "--method", m]
+       + (["--f", name] if m == "bregman" else [])
+       for kind in ("grad", "subdiff") for name in _CATALOG
+       for m in ("pairing", "strong", "bregman", "carlier_haraux")]
+)
+
+
+@pytest.mark.parametrize("flags", _CATALOG_CALLS,
+                         ids=lambda f: f"{f[0][2:]}={f[1]},{f[3]}")
+def test_catalog_input_never_ends_in_a_traceback(capsys, flags):
+    # Either a row, or one error line with a documented exit code.
+    code, out, err = _run(capsys, ["bound", "--point", "0.5;-0.5"] + flags)
+    if code == cli.EXIT_OK:
+        assert len(out.strip().splitlines()) == 2 and err == ""
+    else:
+        assert code in (cli.EXIT_CONFIG, cli.EXIT_SOLVER) and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    if flags[0] == "--phi" and flags[3] == "carlier_haraux":
+        assert code == cli.EXIT_CONFIG and "--op-a" in err
+
+
 class TestVerifyCommand:
     def test_all_checks_pass(self, capsys, tmp_path):
         report = tmp_path / "report.csv"

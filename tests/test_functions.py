@@ -128,8 +128,8 @@ class TestSeparable:
 class TestCompositeQuadPlus:
     def test_from_name(self):
         phi = functions.from_name("quad_plus:burg", 2)
-        assert isinstance(phi, functions.CompositeQuadPlus)
-        assert phi.dim == 2
+        assert isinstance(phi, functions.SeparableFunction)
+        assert phi.name == "quad_plus:burg" and phi.dim == 2
 
     def test_value_and_gradient(self):
         phi = functions.from_name("quad_plus:quadratic")

@@ -229,19 +229,19 @@ class TestBregmanProx:
             assert z == pytest.approx((1 + g) * xi / (1 - g * xi * mu), rel=1e-10)
 
     def test_matches_resolvent_route(self, rng):
-        f = functions.boltzmann_shannon()
         phi = functions.boltzmann_shannon()
-        s = np.array([rng.uniform(-2, 2)])
-        z1 = bregman_prox(f, phi, 1.5, s)
-        z2 = solve_resolvent(
-            ResolventProblem(GradientOp(f), SubdifferentialOp(phi), 1.5, s)
-        )
-        np.testing.assert_allclose(z1, z2)
+        for kernel in ("boltzmann_shannon", "quad_plus:burg"):
+            f = functions.from_name(kernel)
+            s = np.array([rng.uniform(-2, 2)])
+            z1 = bregman_prox(f, phi, 1.5, s)
+            z2 = solve_resolvent(
+                ResolventProblem(GradientOp(f), SubdifferentialOp(phi), 1.5, s)
+            )
+            np.testing.assert_allclose(z1, z2)
 
     def test_requires_separable(self):
         with pytest.raises(TypeError):
-            bregman_prox(functions.from_name("quad_plus:burg"),
-                         functions.burg(), 1.0, [0.0])
+            bregman_prox(lambda t: t, functions.burg(), 1.0, [0.0])
 
 
 class TestWarpedResolvent:
