@@ -427,6 +427,9 @@ def _resolve_bound_defaults(args):
     if args.method == "carlier_haraux" and args.phi:
         raise ConfigError("method 'carlier_haraux' bounds H_A of an operator: "
                           "it needs --op-a in place of --phi")
+    if args.method == "bregman" and args.op_a and not args.phi and not args.f:
+        raise ConfigError("method 'bregman' on --op-a needs its kernel function: "
+                          "pass --f")
 
 
 def main(argv=None):

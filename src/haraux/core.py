@@ -22,14 +22,16 @@ def as_vector(x):
     Scalars are promoted to dimension 1. NaN or infinite entries are
     rejected: vectors always live in R^N.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("vectors must have positive dimension")
-    if not np.all(np.isfinite(arr)):
+    # A 1-D float64 array is already a vector: only its entries are checked.
+    if not (type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1 and x.shape[0]):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.ndim != 1:
+            raise ValueError(f"expected a 1-D vector, got shape {x.shape}")
+        if x.size == 0:
+            raise ValueError("vectors must have positive dimension")
+    if not np.isfinite(x).all():
         raise ValueError("vector entries must be finite")
-    return arr
+    return x
 
 
 def pairing(x, u_star):

@@ -3,12 +3,15 @@
 Each scalar building block carries its value, derivative, inverse
 derivative and conjugate in closed form, so that separable functions on
 R^N evaluate coordinatewise without any numerical conjugation. The
-composite t^2/2 + psi(t) takes its inverse derivative and conjugate from
-the prox of psi.
+derivative formulas of a catalog entry are written once and instantiated
+twice: over ``math`` for floats and over numpy for arrays, so a separable
+function evaluates them on whole vectors. The composite t^2/2 + psi(t)
+takes its inverse derivative and conjugate from the prox of psi.
 """
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,6 +23,31 @@ BOUNDARY_TOL = 1e-14
 
 
 @dataclass(frozen=True)
+class _Forms:
+    """The derivative formulas of one scalar part over one backend."""
+
+    deriv: callable
+    deriv_inv: callable
+    deriv2: callable = None
+    prox_fn: callable = None
+
+
+def _mapped(fn):
+    """A float formula applied to each element of an array."""
+    if fn is None:
+        return None
+    return lambda t, *args: np.array([fn(ti, *args) for ti in t.tolist()], dtype=float)
+
+
+def _conjugate_forms(f):
+    """The formulas of the conjugate: derivative and inverse swap places."""
+    deriv2 = None
+    if f.deriv2 is not None:
+        deriv2 = lambda s: 1.0 / f.deriv2(f.deriv_inv(s))
+    return _Forms(deriv=f.deriv_inv, deriv_inv=f.deriv, deriv2=deriv2)
+
+
+@dataclass(frozen=True)
 class ScalarLegendre:
     """A 1-D Legendre function given by closed forms.
 
@@ -28,7 +56,9 @@ class ScalarLegendre:
     ``deriv_inv`` inverts it on its range. ``boundary_values`` optionally
     supplies finite values on the closed hull of ``dom``. ``prox_fn``,
     when present, evaluates (Id + gamma * deriv)^{-1}; without it the
-    prox is a generic scalar solve.
+    prox is a generic scalar solve. These formulas take floats;
+    ``arrays`` holds the same ones over numpy arrays (by default the
+    float formulas mapped over the elements).
     """
 
     name: str
@@ -41,6 +71,16 @@ class ScalarLegendre:
     deriv2: callable = None
     boundary_values: dict = field(default_factory=dict)
     prox_fn: callable = None
+    arrays: _Forms = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.arrays is None:
+            object.__setattr__(self, "arrays", _Forms(
+                deriv=_mapped(self.deriv),
+                deriv_inv=_mapped(self.deriv_inv),
+                deriv2=_mapped(self.deriv2),
+                prox_fn=_mapped(self.prox_fn),
+            ))
 
     def eval(self, t):
         """Value on the closed hull of dom; +inf outside."""
@@ -59,30 +99,16 @@ class ScalarLegendre:
             return INF
         return float(self.conj_value(s))
 
-    def in_interior(self, t):
-        lo, hi = self.dom
-        if not lo < t < hi:
-            return False
-        if np.isfinite(lo) and t - lo <= BOUNDARY_TOL * max(1.0, abs(lo)):
-            return False
-        if np.isfinite(hi) and hi - t <= BOUNDARY_TOL * max(1.0, abs(hi)):
-            return False
-        return True
-
     def conjugate(self):
         """The conjugate as a ScalarLegendre (swaps the two closed forms)."""
-        deriv2_conj = None
-        if self.deriv2 is not None:
-            deriv2_conj = lambda s: 1.0 / self.deriv2(self.deriv_inv(s))
         return ScalarLegendre(
             name=self.name + "*",
             dom=self.conj_dom,
             value=self.conj_value,
-            deriv=self.deriv_inv,
-            deriv_inv=self.deriv,
             conj_dom=self.dom,
             conj_value=self.value,
-            deriv2=deriv2_conj,
+            arrays=_conjugate_forms(self.arrays),
+            **vars(_conjugate_forms(self)),
         )
 
 
@@ -96,8 +122,25 @@ def _check_dim(x, dim):
     return x
 
 
+def _bounds(intervals):
+    """Lower and upper ends of open intervals as two arrays."""
+    ends = np.array(intervals, dtype=float)
+    return ends[:, 0].copy(), ends[:, 1].copy()
+
+
+def _boundary_tol(end):
+    """The boundary tolerance at each finite end; 0 at an infinite one."""
+    return np.where(np.isfinite(end), BOUNDARY_TOL * np.maximum(1.0, np.abs(end)), 0.0)
+
+
 class SeparableFunction:
-    """Sum of scalar Legendre parts, one per coordinate."""
+    """Sum of scalar Legendre parts, one per coordinate.
+
+    Coordinates that share one part object form a group: ``groups`` lists
+    (part, coordinates) pairs, the coordinates a slice when one part
+    covers them all. The gradient, its inverse and the interior test
+    evaluate each group's array formulas on whole vectors.
+    """
 
     def __init__(self, parts, dim=None):
         if isinstance(parts, ScalarLegendre):
@@ -111,6 +154,19 @@ class SeparableFunction:
             raise ValueError("at least one part is required")
         self.parts = parts
         self.dim = len(parts)
+        first = parts[0]
+        if all(p is first for p in parts):
+            self.groups = [(first, slice(None))]
+        else:
+            unique = list({id(p): p for p in parts}.values())
+            number = {id(p): k for k, p in enumerate(unique)}
+            group_id = np.array([number[id(p)] for p in parts])
+            self.groups = [(p, np.flatnonzero(group_id == k))
+                           for k, p in enumerate(unique)]
+        self.dom_lo, self.dom_hi = _bounds([p.dom for p in parts])
+        self.conj_lo, self.conj_hi = _bounds([p.conj_dom for p in parts])
+        self._lo_tol = _boundary_tol(self.dom_lo)
+        self._hi_tol = _boundary_tol(self.dom_hi)
 
     @property
     def name(self):
@@ -125,24 +181,38 @@ class SeparableFunction:
         u = _check_dim(u_star, self.dim)
         return xadd(*(p.eval_conj(s) for p, s in zip(self.parts, u)))
 
+    def _evaluate(self, form, z):
+        """The array formula ``form`` (a field of ``ScalarLegendre.arrays``)
+        of each part at its coordinates of z."""
+        out = np.empty_like(z)
+        for part, coords in self.groups:
+            out[coords] = getattr(part.arrays, form)(z[coords])
+        return out
+
+    def _inside(self, x):
+        # Strictly inside, and farther than BOUNDARY_TOL * max(1, |end|)
+        # from each finite end; t - lo > tol implies lo < t, and hi - t > tol
+        # implies t < hi.
+        return bool(((x - self.dom_lo > self._lo_tol)
+                     & (self.dom_hi - x > self._hi_tol)).all())
+
     def in_interior(self, x):
-        x = _check_dim(x, self.dim)
-        return all(p.in_interior(t) for p, t in zip(self.parts, x))
+        return self._inside(_check_dim(x, self.dim))
 
     def gradient(self, x):
         x = _check_dim(x, self.dim)
-        if not self.in_interior(x):
+        if not self._inside(x):
             raise DomainError("gradient requires a point strictly inside the domain")
-        return np.array([p.deriv(t) for p, t in zip(self.parts, x)])
+        return self._evaluate("deriv", x)
 
     def grad_conj(self, s):
         """Inverse gradient (gradient of the conjugate), coordinatewise."""
         s = _check_dim(s, self.dim)
-        for p, si in zip(self.parts, s):
-            lo, hi = p.conj_dom
-            if not lo < si < hi:
-                raise DomainError(f"{si} outside the conjugate domain of {p.name}")
-        return np.array([p.deriv_inv(si) for p, si in zip(self.parts, s)])
+        outside = ~((self.conj_lo < s) & (s < self.conj_hi))
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise DomainError(f"{s[i]} outside the conjugate domain of {self.parts[i].name}")
+        return self._evaluate("deriv_inv", s)
 
     def bregman(self, x, y):
         """D(x, y) = f(x) - f(y) - <x - y, grad f(y)>; +inf if y not interior."""
@@ -167,7 +237,8 @@ class SeparableFunction:
         return fx + fu - pairing(x, u)
 
     def conjugate_function(self):
-        return SeparableFunction([p.conjugate() for p in self.parts])
+        conjugates = {id(p): p.conjugate() for p, _ in self.groups}
+        return SeparableFunction([conjugates[id(p)] for p in self.parts])
 
 
 def _envelope(p, s):
@@ -188,42 +259,6 @@ def moreau_envelope(psi, x):
 # Catalog
 # --------------------------------------------------------------------------
 
-def _quadratic_scalar():
-    return ScalarLegendre(
-        name="quadratic",
-        dom=(-INF, INF),
-        value=lambda t: 0.5 * t * t,
-        deriv=lambda t: t,
-        deriv_inv=lambda s: s,
-        conj_dom=(-INF, INF),
-        conj_value=lambda s: 0.5 * s * s,
-        deriv2=lambda t: 1.0,
-        prox_fn=lambda t, gamma: t / (1.0 + gamma),
-    )
-
-
-def _burg_scalar():
-    # -ln t on (0, inf); conjugate -1 - ln(-s) on (-inf, 0).
-    return ScalarLegendre(
-        name="burg",
-        dom=(0.0, INF),
-        value=lambda t: -math.log(t),
-        deriv=lambda t: -1.0 / t,
-        deriv_inv=lambda s: -1.0 / s,
-        conj_dom=(-INF, 0.0),
-        conj_value=lambda s: -1.0 - math.log(-s),
-        deriv2=lambda t: 1.0 / (t * t),
-        prox_fn=lambda t, gamma: 0.5 * (t + math.sqrt(t * t + 4.0 * gamma)),
-    )
-
-
-def _boltzmann_shannon_prox(t, gamma):
-    # Solve z + gamma*ln z = t, i.e. z = gamma * W(exp(t/gamma)/gamma).
-    from .solvers import lambert_w_of_exp
-
-    return gamma * lambert_w_of_exp(t / gamma - math.log(gamma))
-
-
 def _exp(s):
     """e^s, with overflow reported as a point outside the domain."""
     try:
@@ -232,20 +267,23 @@ def _exp(s):
         raise DomainError(f"exp(s) overflows a float at s = {float(s)!r}") from None
 
 
-def _boltzmann_shannon_scalar():
-    # t ln t - t on (0, inf), value 0 at t = 0; conjugate exp(s) on R.
-    return ScalarLegendre(
-        name="boltzmann_shannon",
-        dom=(0.0, INF),
-        value=lambda t: t * math.log(t) - t,
-        deriv=lambda t: math.log(t),
-        deriv_inv=_exp,
-        conj_dom=(-INF, INF),
-        conj_value=_exp,
-        deriv2=lambda t: 1.0 / t,
-        boundary_values={0.0: 0.0},
-        prox_fn=_boltzmann_shannon_prox,
-    )
+# e^s is finite for every s up to this; the array forms check for
+# overflow only past it.
+_EXP_SAFE = 709.0
+
+
+def _exp_array(s):
+    """_exp over an array."""
+    if s.max() <= _EXP_SAFE:
+        return np.exp(s)
+    with np.errstate(over="ignore"):
+        e = np.exp(s)
+    overflow = np.isinf(e)
+    if overflow.any():
+        raise DomainError(
+            f"exp(s) overflows a float at s = {float(s[np.argmax(overflow)])!r}"
+        )
+    return e
 
 
 def _logistic(s):
@@ -254,6 +292,130 @@ def _logistic(s):
         return 1.0 / (1.0 + math.exp(-s))
     except OverflowError:
         return math.exp(s)
+
+
+def _logistic_array(s):
+    """_logistic over an array."""
+    if s.min() >= -_EXP_SAFE:
+        return 1.0 / (1.0 + np.exp(-s))
+    with np.errstate(over="ignore"):
+        e = np.exp(-s)
+        return np.where(np.isinf(e), np.exp(s), 1.0 / (1.0 + e))
+
+
+def _lambert_w_of_exp(a):
+    from .solvers import lambert_w_of_exp
+
+    return lambert_w_of_exp(a)
+
+
+def _lambert_w_of_exp_array(a):
+    from .solvers import lambert_w_of_exp
+
+    return _mapped(lambert_w_of_exp)(a)
+
+
+def _prox_float(p, gamma, t):
+    from .solvers import _prox_part
+
+    return _prox_part(p, gamma, t)
+
+
+def _prox_array(p, gamma, t):
+    from .solvers import _prox_part_array
+
+    return _prox_part_array(p, gamma, t)
+
+
+# The two backends a catalog formula is instantiated over. ``forms`` picks
+# a part's formulas of the same backend.
+_MATH = SimpleNamespace(
+    log=math.log, sqrt=math.sqrt, exp=_exp, logistic=_logistic,
+    lambert_w_of_exp=_lambert_w_of_exp, prox=_prox_float, forms=lambda p: p,
+)
+_NUMPY = SimpleNamespace(
+    log=np.log, sqrt=np.sqrt, exp=_exp_array, logistic=_logistic_array,
+    lambert_w_of_exp=_lambert_w_of_exp_array, prox=_prox_array,
+    forms=lambda p: p.arrays,
+)
+
+
+def _catalog_part(forms, **fields):
+    """A ScalarLegendre whose derivative formulas ``forms(m)`` are
+    instantiated over math for floats and over numpy for arrays."""
+    return ScalarLegendre(**fields, **vars(forms(_MATH)), arrays=forms(_NUMPY))
+
+
+def _quadratic_forms(m):
+    return _Forms(
+        deriv=lambda t: t,
+        deriv_inv=lambda s: s,
+        deriv2=lambda t: 1.0,
+        prox_fn=lambda t, gamma: t / (1.0 + gamma),
+    )
+
+
+def _quadratic_scalar():
+    return _catalog_part(
+        _quadratic_forms,
+        name="quadratic",
+        dom=(-INF, INF),
+        value=lambda t: 0.5 * t * t,
+        conj_dom=(-INF, INF),
+        conj_value=lambda s: 0.5 * s * s,
+    )
+
+
+def _burg_forms(m):
+    return _Forms(
+        deriv=lambda t: -1.0 / t,
+        deriv_inv=lambda s: -1.0 / s,
+        deriv2=lambda t: 1.0 / (t * t),
+        prox_fn=lambda t, gamma: 0.5 * (t + m.sqrt(t * t + 4.0 * gamma)),
+    )
+
+
+def _burg_scalar():
+    # -ln t on (0, inf); conjugate -1 - ln(-s) on (-inf, 0).
+    return _catalog_part(
+        _burg_forms,
+        name="burg",
+        dom=(0.0, INF),
+        value=lambda t: -math.log(t),
+        conj_dom=(-INF, 0.0),
+        conj_value=lambda s: -1.0 - math.log(-s),
+    )
+
+
+def _boltzmann_shannon_forms(m):
+    # The prox solves z + gamma*ln z = t, i.e. z = gamma * W(exp(t/gamma)/gamma).
+    return _Forms(
+        deriv=m.log,
+        deriv_inv=m.exp,
+        deriv2=lambda t: 1.0 / t,
+        prox_fn=lambda t, gamma: gamma * m.lambert_w_of_exp(t / gamma - m.log(gamma)),
+    )
+
+
+def _boltzmann_shannon_scalar():
+    # t ln t - t on (0, inf), value 0 at t = 0; conjugate exp(s) on R.
+    return _catalog_part(
+        _boltzmann_shannon_forms,
+        name="boltzmann_shannon",
+        dom=(0.0, INF),
+        value=lambda t: t * math.log(t) - t,
+        conj_dom=(-INF, INF),
+        conj_value=_exp,
+        boundary_values={0.0: 0.0},
+    )
+
+
+def _fermi_dirac_forms(m):
+    return _Forms(
+        deriv=lambda t: m.log(t) - m.log(1.0 - t),
+        deriv_inv=m.logistic,
+        deriv2=lambda t: 1.0 / (t * (1.0 - t)),
+    )
 
 
 def _fermi_dirac_scalar():
@@ -265,15 +427,13 @@ def _fermi_dirac_scalar():
             return s + math.log1p(math.exp(-s))
         return math.log1p(math.exp(s))
 
-    return ScalarLegendre(
+    return _catalog_part(
+        _fermi_dirac_forms,
         name="fermi_dirac",
         dom=(0.0, 1.0),
         value=lambda t: t * math.log(t) + (1.0 - t) * math.log(1.0 - t),
-        deriv=lambda t: math.log(t) - math.log(1.0 - t),
-        deriv_inv=_logistic,
         conj_dom=(-INF, INF),
         conj_value=_conj,
-        deriv2=lambda t: 1.0 / (t * (1.0 - t)),
         boundary_values={0.0: 0.0, 1.0: 0.0},
     )
 
@@ -286,23 +446,28 @@ _SCALAR_CATALOG = {
 }
 
 
+def _quad_plus_forms(m, psi):
+    f = m.forms(psi)
+    return _Forms(
+        deriv=lambda t: t + f.deriv(t),
+        deriv_inv=lambda s: m.prox(psi, 1.0, s),
+        deriv2=lambda t: 1.0 + f.deriv2(t),
+        prox_fn=lambda t, gamma: m.prox(psi, gamma / (1.0 + gamma), t / (1.0 + gamma)),
+    )
+
+
 def _quad_plus_scalar(psi):
     """t^2/2 + psi(t) on the domain of psi. Its inverse derivative is
     prox_psi, its conjugate s^2/2 minus the Moreau envelope of psi, and its
     prox with step gamma is prox_{gamma/(1+gamma) psi}(t/(1+gamma))."""
-    from .solvers import _prox_part
-
-    return ScalarLegendre(
+    return _catalog_part(
+        lambda m: _quad_plus_forms(m, psi),
         name="quad_plus:" + psi.name,
         dom=psi.dom,
         value=lambda t: 0.5 * t * t + psi.value(t),
-        deriv=lambda t: t + psi.deriv(t),
-        deriv_inv=lambda s: _prox_part(psi, 1.0, s),
         conj_dom=(-INF, INF),
         conj_value=lambda s: 0.5 * s * s - _envelope(psi, s),
-        deriv2=lambda t: 1.0 + psi.deriv2(t),
         boundary_values={t: 0.5 * t * t + v for t, v in psi.boundary_values.items()},
-        prox_fn=lambda t, gamma: _prox_part(psi, gamma / (1.0 + gamma), t / (1.0 + gamma)),
     )
 
 

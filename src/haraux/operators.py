@@ -3,6 +3,7 @@ maps, the R^2 rotation-plus-gradient example, and uniform-monotonicity
 moduli."""
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -72,10 +73,8 @@ class MonotoneOperator:
         return self.apply(x)
 
     def separable_terms(self):
-        """Per-coordinate (value, derivative, open interval, inverse,
-        inverse interval) tuples, or None when the operator does not
-        decouple coordinatewise. The inverse and its open interval are
-        None when the term carries no closed-form inverse."""
+        """A SeparableTerms record, or None when the operator does not
+        decouple coordinatewise."""
         return None
 
     def as_affine(self):
@@ -83,13 +82,43 @@ class MonotoneOperator:
         return None
 
 
-def _linear_terms(diag, offset):
-    """Scalar terms of the coordinatewise map z -> m*z + c."""
-    return [
-        (lambda z, m=m, c=c: m * z + c, lambda z, m=m: m, (-INF, INF),
-         None, None)
-        for m, c in zip(diag.tolist(), offset.tolist())
-    ]
+@dataclass(frozen=True)
+class SeparableTerms:
+    """An operator that decouples coordinatewise, as whole-vector forms.
+
+    ``value(z)`` and ``deriv(z)`` evaluate each coordinate's term and its
+    derivative at the entries of z, which lie in the open intervals
+    (lo, hi); ``inverse(s)`` inverts ``value`` on the open intervals
+    (inv_lo, inv_hi). ``deriv`` is None when a term has no derivative,
+    and ``inverse`` with its intervals when a term has no closed-form
+    inverse. ``term(i)`` is coordinate i as float callables: (value,
+    derivative, open interval, inverse, inverse interval).
+    """
+
+    value: callable
+    deriv: callable
+    lo: np.ndarray
+    hi: np.ndarray
+    term: callable
+    inverse: callable = None
+    inv_lo: np.ndarray = None
+    inv_hi: np.ndarray = None
+
+
+def _linear_terms(m, c):
+    """The coordinatewise map z -> m*z + c."""
+
+    def term(i):
+        mi, ci = float(m[i]), float(c[i])
+        return lambda z: mi * z + ci, lambda z: mi, (-INF, INF), None, None
+
+    n = m.shape[0]
+    return SeparableTerms(value=lambda z: m * z + c, deriv=lambda z: m,
+                          lo=np.full(n, -INF), hi=np.full(n, INF), term=term)
+
+
+def _part_term(p):
+    return p.deriv, p.deriv2, p.dom, p.deriv_inv, p.conj_dom
 
 
 class GradientOp(MonotoneOperator):
@@ -108,9 +137,18 @@ class GradientOp(MonotoneOperator):
         return self.f.gradient(x)
 
     def separable_terms(self):
-        return [
-            (p.deriv, p.deriv2, p.dom, p.deriv_inv, p.conj_dom) for p in self.f.parts
-        ]
+        f = self.f
+        has_deriv2 = all(p.deriv2 is not None for p, _ in f.groups)
+        return SeparableTerms(
+            value=partial(f._evaluate, "deriv"),
+            deriv=partial(f._evaluate, "deriv2") if has_deriv2 else None,
+            lo=f.dom_lo,
+            hi=f.dom_hi,
+            term=lambda i: _part_term(f.parts[i]),
+            inverse=partial(f._evaluate, "deriv_inv"),
+            inv_lo=f.conj_lo,
+            inv_hi=f.conj_hi,
+        )
 
 
 class SubdifferentialOp(GradientOp):

@@ -40,7 +40,7 @@ def default_box(A):
     if terms is None:
         intervals = [(-INF, INF)] * A.dim_in
     else:
-        intervals = [t[2] for t in terms]
+        intervals = zip(terms.lo.tolist(), terms.hi.tolist())
     return [
         (max(lo, -_BOX_CLIP) + _BOX_SHRINK, min(hi, _BOX_CLIP) - _BOX_SHRINK)
         for lo, hi in intervals

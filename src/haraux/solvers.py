@@ -3,7 +3,10 @@ operators, Bregman proxes, the Lambert W function and warped resolvents.
 
 Scalar inclusions are solved by guaranteed sign-change bracketing followed
 by a safeguarded Newton/bisection loop; strict monotonicity of W + gamma*A
-makes the bracketing sound.
+makes the bracketing sound. Separable problems with at least
+_ELEMENTWISE_MIN_DIM coordinates run that algorithm on all coordinates at
+once over arrays; smaller ones run it coordinate by coordinate, which
+costs less there.
 """
 
 import math
@@ -23,6 +26,9 @@ _ATOL = 1e-12
 _MAX_ITER = 200
 # Geometric growth of the bracket search steps.
 _BRACKET_EXPAND = 2.0
+# Separable solves with at least this many coordinates run elementwise;
+# the crossover of the two paths measured in BENCH_layers.json.
+_ELEMENTWISE_MIN_DIM = 24
 
 
 class NoSolutionError(RuntimeError):
@@ -151,6 +157,139 @@ def solve_scalar_increasing(g, dg, interval, target, tol, x0=None):
     raise ConvergenceError("iteration budget exhausted in scalar solve")
 
 
+# Failure codes of the elementwise solver, in the order of its steps.
+_NO_ROOT_BELOW, _NO_ROOT_ABOVE, _COLLAPSED, _BUDGET = 1, 2, 3, 4
+
+
+def _shrunk_arrays(lo, hi, n):
+    lo = np.array(np.broadcast_to(lo, (n,)), dtype=float)
+    hi = np.array(np.broadcast_to(hi, (n,)), dtype=float)
+    f = np.isfinite(lo)
+    lo[f] += _SHRINK * np.maximum(1.0, np.abs(lo[f]))
+    f = np.isfinite(hi)
+    hi[f] -= _SHRINK * np.maximum(1.0, np.abs(hi[f]))
+    return lo, hi
+
+
+def _default_starts(x0, lo, hi):
+    """Fill the NaN entries of x0 with the scalar solver's default start."""
+    none = np.isnan(x0)
+    if not none.any():
+        return
+    flo, fhi = np.isfinite(lo), np.isfinite(hi)
+    both = none & flo & fhi
+    x0[both] = 0.5 * (lo[both] + hi[both])
+    below = none & flo & ~fhi
+    x0[below] = lo[below] + np.maximum(1.0, np.abs(lo[below]))
+    above = none & ~flo & fhi
+    x0[above] = hi[above] - np.maximum(1.0, np.abs(hi[above]))
+    x0[none & ~flo & ~fhi] = 0.0
+
+
+def solve_increasing_elementwise(g, dg, lo, hi, target, tol, x0=None):
+    """solve_scalar_increasing for many coordinates at once.
+
+    Coordinate i solves g(z)[i] = target[i] on the open interval
+    (lo[i], hi[i]), where g(z) and dg(z) evaluate increasing functions of
+    each coordinate and their derivatives on a whole vector. lo, hi and
+    tol broadcast against target; NaN entries of x0 take the default
+    start. Each coordinate takes the steps of the scalar solver, geometric
+    bracket expansion and then Newton steps safeguarded by bisection,
+    while a mask marks the unfinished ones. A failure raises what the
+    scalar solver raises at the lowest failing coordinate.
+    """
+    target = np.asarray(target, dtype=float)
+    n = target.shape[0]
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (n,))
+    lo, hi = _shrunk_arrays(lo, hi, n)
+    x0 = np.full(n, np.nan) if x0 is None else np.array(x0, dtype=float)
+    _default_starts(x0, lo, hi)
+    x0 = np.minimum(np.maximum(x0, lo), hi)
+    failure = np.zeros(n, dtype=np.int8)
+    residual = np.zeros(n)
+
+    f0 = g(x0) - target
+    done = np.abs(f0) <= tol
+    root = x0
+
+    # Bracket search. Coordinates with f0 > 0 search down toward lo, the
+    # others up toward hi; toward an infinite end the steps grow, toward a
+    # finite one each step halves the distance to it. ``hit`` is the first
+    # point past the sign change, ``prev`` the last one before it.
+    down = f0 > 0
+    edge = np.where(down, lo, hi)
+    bounded = np.isfinite(edge)
+    edge[~bounded] = 0.0
+    step = np.where(down, -1.0, 1.0) * np.maximum(1.0, np.abs(x0))
+    prev, f_prev, hit, f_hit = x0, f0, x0, f0
+    active = ~done
+    for k in range(_MAX_ITER):
+        if not active.any():
+            break
+        cand = np.where(bounded, edge + (x0 - edge) / _BRACKET_EXPAND ** (k + 1),
+                        x0 + step * _BRACKET_EXPAND**k)
+        # A finished search stays at its last point instead of stepping on
+        # toward an end where g may overflow.
+        cand = np.where(active, cand, prev)
+        fc = g(cand) - target
+        found = active & np.where(down, fc <= 0, fc >= 0)
+        hit, f_hit = np.where(found, cand, hit), np.where(found, fc, f_hit)
+        active &= ~found
+        prev, f_prev = np.where(active, cand, prev), np.where(active, fc, f_prev)
+    failure[active] = np.where(down[active], _NO_ROOT_BELOW, _NO_ROOT_ABOVE)
+
+    a, fa = np.where(down, hit, prev), np.where(down, f_hit, f_prev)
+    b, fb = np.where(down, prev, hit), np.where(down, f_prev, f_hit)
+    active = ~(done | active)
+    at_a = active & (np.abs(fa) <= tol)
+    at_b = active & ~at_a & (np.abs(fb) <= tol)
+    root = np.where(at_a, a, np.where(at_b, b, root))
+    active &= ~(at_a | at_b)
+
+    # Safeguarded Newton within the brackets [a, b], fa < 0 < fb. The
+    # points of finished coordinates stay inside their last bracket.
+    use_a = np.abs(fa) < np.abs(fb)
+    x, fx = np.where(use_a, a, b), np.where(use_a, fa, fb)
+    for _ in range(_MAX_ITER):
+        if not active.any():
+            break
+        x_new = 0.5 * (a + b)
+        if dg is not None:
+            slope = dg(x)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                cand = x - fx / slope
+            x_new = np.where((slope > 0) & (a < cand) & (cand < b), cand, x_new)
+        x = x_new
+        fx = g(x) - target
+        below = fx < 0
+        a = np.where(active & below, x, a)
+        b = np.where(active & ~below, x, b)
+        converged = active & (np.abs(fx) <= tol)
+        root = np.where(converged, x, root)
+        active &= ~converged
+        collapsed = active & (b - a <= 1e-16 * np.maximum(1.0, np.abs(x)))
+        if collapsed.any():
+            failure[collapsed] = _COLLAPSED
+            residual[collapsed] = np.abs(fx[collapsed])
+            active &= ~collapsed
+    failure[active] = _BUDGET
+
+    failed = np.flatnonzero(failure)
+    if failed.shape[0]:
+        i = failed[0]
+        code = failure[i]
+        if code == _NO_ROOT_BELOW:
+            raise NoSolutionError("no sign change found toward the lower boundary")
+        if code == _NO_ROOT_ABOVE:
+            raise NoSolutionError("no sign change found toward the upper boundary")
+        if code == _COLLAPSED:
+            raise ConvergenceError(
+                f"bracket collapsed with residual {residual[i]:.3e} > tol {tol[i]:.3e}"
+            )
+        raise ConvergenceError("iteration budget exhausted in scalar solve")
+    return root
+
+
 def _intersect(ivl1, ivl2):
     lo = max(ivl1[0], ivl2[0])
     hi = min(ivl1[1], ivl2[1])
@@ -186,17 +325,20 @@ def solve_resolvent(problem):
             raise UnsupportedOperatorError(
                 f"no resolvent route for {type(W).__name__} + {type(A).__name__}"
             )
-        z = np.empty_like(rhs)
-        for i, ((w, dw, wiv, w_inv, w_inv_dom), (a, da, aiv, _, _)) in enumerate(
-            zip(wt, at)
-        ):
-            interval = _intersect(wiv, aiv)
-            g = lambda t, w=w, a=a: w(t) + gamma * a(t)
-            dg = None
-            if dw is not None and da is not None:
-                dg = lambda t, dw=dw, da=da: dw(t) + gamma * da(t)
-            x0 = _initial_guess(w_inv, w_inv_dom, rhs[i], gamma, interval)
-            z[i] = solve_scalar_increasing(g, dg, interval, rhs[i], tol, x0=x0)
+        if rhs.shape[0] < _ELEMENTWISE_MIN_DIM:
+            z = np.empty_like(rhs)
+            for i in range(rhs.shape[0]):
+                w, dw, wiv, w_inv, w_inv_dom = wt.term(i)
+                a, da, aiv, _, _ = at.term(i)
+                interval = _intersect(wiv, aiv)
+                g = lambda t, w=w, a=a: w(t) + gamma * a(t)
+                dg = None
+                if dw is not None and da is not None:
+                    dg = lambda t, dw=dw, da=da: dw(t) + gamma * da(t)
+                x0 = _initial_guess(w_inv, w_inv_dom, rhs[i], gamma, interval)
+                z[i] = solve_scalar_increasing(g, dg, interval, rhs[i], tol, x0=x0)
+        else:
+            z = _solve_separable(wt, at, gamma, rhs, tol)
 
     res = resolvent_residual(W, A, gamma, z, rhs)
     if res > tol:
@@ -221,6 +363,34 @@ def _initial_guess(inverse, inverse_dom, r, gamma, interval):
     return None
 
 
+def _solve_separable(wt, at, gamma, rhs, tol):
+    """The separable resolvent, all coordinates in one elementwise solve,
+    each started from the kernel term's inverse at r/(1+gamma) when it
+    has one and that lands inside the domain."""
+    lo, hi = np.maximum(wt.lo, at.lo), np.minimum(wt.hi, at.hi)
+    if np.any(lo >= hi):
+        raise NoSolutionError("operator domains have empty intersection")
+    g = lambda z: wt.value(z) + gamma * at.value(z)
+    dg = None
+    if wt.deriv is not None and at.deriv is not None:
+        dg = lambda z: wt.deriv(z) + gamma * at.deriv(z)
+    x0 = np.full(rhs.shape[0], np.nan)
+    if wt.inverse is not None:
+        s = rhs / (1.0 + gamma)
+        usable = (wt.inv_lo < s) & (s < wt.inv_hi)
+        if not usable.all():
+            # Entries outside the inverse's interval evaluate it at an
+            # interior point instead, and keep the default start.
+            inside = np.full(s.shape[0], np.nan)
+            _default_starts(inside, wt.inv_lo, wt.inv_hi)
+            s = np.where(usable, s, inside)
+        cand = wt.inverse(s)
+        lo_eff, hi_eff = _shrunk_arrays(lo, hi, lo.shape[0])
+        usable &= (lo_eff < cand) & (cand < hi_eff)
+        x0[usable] = cand[usable]
+    return solve_increasing_elementwise(g, dg, lo, hi, rhs, tol, x0)
+
+
 def _solve_joca16(W, A, gamma, rhs, tol):
     beta, psi = A.beta, A.psi
 
@@ -231,8 +401,7 @@ def _solve_joca16(W, A, gamma, rhs, tol):
         w_terms = W.separable_terms()
         if w_terms is None:
             raise UnsupportedOperatorError("unsupported kernel for the R^2 example")
-        w_d2 = [term[1] for term in w_terms]
-        if any(d is None for d in w_d2):
+        if w_terms.deriv is None:
             raise UnsupportedOperatorError("kernel parts need second derivatives")
     if psi.deriv2 is None:
         raise UnsupportedOperatorError("psi needs a second derivative")
@@ -250,7 +419,7 @@ def _solve_joca16(W, A, gamma, rhs, tol):
         if w_aff is not None:
             JW = w_aff[0]
         else:
-            JW = np.diag([d(t) for d, t in zip(w_d2, z)])
+            JW = np.diag(w_terms.deriv(z))
         return JW + gamma * JA
 
     # Damped Newton from a domain-interior start.
@@ -296,6 +465,23 @@ def _prox_part(p, gamma, t, tol=None):
     return solve_scalar_increasing(g, dg, p.dom, t, tol)
 
 
+def _prox_part_array(p, gamma, t, tol=None):
+    """_prox_part over an array t: the closed form when p carries one,
+    else the generic solve, coordinate by coordinate below
+    _ELEMENTWISE_MIN_DIM entries and elementwise from there on."""
+    if p.prox_fn is not None:
+        return p.arrays.prox_fn(t, gamma)
+    if t.shape[0] < _ELEMENTWISE_MIN_DIM:
+        return np.array([_prox_part(p, gamma, ti, tol) for ti in t.tolist()], dtype=float)
+    if tol is None:
+        tol = _ATOL * (1.0 + np.abs(t))
+    g = lambda z: z + gamma * p.arrays.deriv(z)
+    dg = None
+    if p.deriv2 is not None:
+        dg = lambda z: 1.0 + gamma * p.arrays.deriv2(z)
+    return solve_increasing_elementwise(g, dg, p.dom[0], p.dom[1], t, tol)
+
+
 def prox(phi, gamma, x):
     """(Id + gamma * d phi)^{-1} x, coordinatewise."""
     if gamma <= 0:
@@ -306,8 +492,12 @@ def prox(phi, gamma, x):
 
     tol = _ATOL * (1.0 + float(np.max(np.abs(x))))
     out = np.empty_like(x)
-    for i, (p, xi) in enumerate(zip(phi.parts, x)):
-        out[i] = _prox_part(p, gamma, xi, tol)
+    if x.shape[0] < _ELEMENTWISE_MIN_DIM:
+        for i, (p, xi) in enumerate(zip(phi.parts, x)):
+            out[i] = _prox_part(p, gamma, xi, tol)
+        return out
+    for p, coords in phi.groups:
+        out[coords] = _prox_part_array(p, gamma, x[coords], tol)
     return out
 
 

@@ -79,6 +79,12 @@ class TestBoundCommand:
             code, out, err = _run(capsys, args + ["--method", method])
             assert code == cli.EXIT_CONFIG and out == ""
             assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        # bregman takes its kernel from --f, and the error says so.
+        code, out, err = _run(capsys, ["bound", "--op-a", "grad:burg", "--point",
+                                       "0.5;-0.5", "--method", "bregman"])
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err.startswith("error:") and "--f" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "b.csv"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haraux import functions
+from haraux import functions, solvers
 from haraux.core import INF, DomainError
 
 # Interior sampling boxes for each catalog function and its conjugate.
@@ -123,6 +123,38 @@ class TestSeparable:
         )
         assert f.name == "mixed"
         assert f([1.0, 2.0]) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("d", [4, 40])
+    def test_mixed_parts_on_arrays(self, d, rng):
+        # Interleaved parts form two groups; every array method must match
+        # the parts coordinate by coordinate, below and above the size at
+        # which the prox solves elementwise.
+        burg, quad = functions._burg_scalar(), functions._quadratic_scalar()
+        parts = [burg if i % 2 == 0 else quad for i in range(d)]
+        f = functions.SeparableFunction(parts)
+        assert len(f.groups) == 2
+        x = rng.uniform(0.1, 3.0, d)
+        s = -rng.uniform(0.1, 3.0, d)
+        assert f.gradient(x).tolist() == [p.deriv(t) for p, t in zip(parts, x.tolist())]
+        assert f.grad_conj(s).tolist() == [p.deriv_inv(v) for p, v in zip(parts, s.tolist())]
+        assert f.in_interior(x) and not f.in_interior(np.where(np.arange(d) == 2, 0.0, x))
+        np.testing.assert_allclose(solvers.prox(f, 0.5, s),
+                                   [p.prox_fn(v, 0.5) for p, v in zip(parts, s.tolist())],
+                                   rtol=1e-15)
+
+    def test_part_without_array_formulas(self, rng):
+        # A hand-built part maps its float formulas over the elements.
+        part = functions.ScalarLegendre(
+            name="shifted_quadratic", dom=(-INF, INF), value=lambda t: 0.5 * (t - 1) ** 2,
+            deriv=lambda t: t - 1.0, deriv_inv=lambda s: s + 1.0, conj_dom=(-INF, INF),
+            conj_value=lambda s: 0.5 * s * s + s, deriv2=lambda t: 1.0,
+        )
+        f = functions.SeparableFunction(part, 40)
+        x = rng.normal(size=40)
+        np.testing.assert_array_equal(f.gradient(x), x - 1.0)
+        np.testing.assert_array_equal(f.grad_conj(x), x + 1.0)
+        # No closed-form prox: z + gamma (z - 1) = x, solved elementwise.
+        np.testing.assert_allclose(solvers.prox(f, 2.0, x), (x + 2.0) / 3.0, atol=1e-11)
 
 
 class TestCompositeQuadPlus:

@@ -48,9 +48,14 @@ class TestGradientOp:
     def test_apply_and_interval(self):
         op = GradientOp(functions.burg(2))
         np.testing.assert_allclose(op.apply([1.0, 2.0]), [-1.0, -0.5])
-        _, _, interval, inverse, inverse_dom = op.separable_terms()[0]
+        terms = op.separable_terms()
+        _, _, interval, inverse, inverse_dom = terms.term(0)
         assert interval == (0.0, np.inf)
         assert inverse(-0.5) == 2.0 and inverse_dom == (-np.inf, 0.0)
+        np.testing.assert_array_equal(terms.value(np.array([1.0, 2.0])), [-1.0, -0.5])
+        np.testing.assert_array_equal(terms.inverse(np.array([-0.5, -2.0])), [2.0, 0.5])
+        assert (terms.lo.tolist(), terms.hi.tolist()) == ([0.0] * 2, [np.inf] * 2)
+        assert (terms.inv_lo.tolist(), terms.inv_hi.tolist()) == ([-np.inf] * 2, [0.0] * 2)
 
     def test_subdifferential_tag(self):
         op = SubdifferentialOp(functions.quadratic())
@@ -122,14 +127,19 @@ class TestDiagonalOp:
         M, b = diag.as_affine()
         np.testing.assert_array_equal(M, np.diag([2.0, 0.5]))
         np.testing.assert_array_equal(b, [1.0, -1.0])
-        (v, dv, ivl, inv, inv_dom), _ = diag.separable_terms()
+        terms = diag.separable_terms()
+        v, dv, ivl, inv, inv_dom = terms.term(0)
         assert (v(3.0), dv(3.0), ivl) == (7.0, 2.0, (-np.inf, np.inf))
         assert inv is None and inv_dom is None  # linear terms give no start
+        assert terms.inverse is None
+        np.testing.assert_array_equal(terms.value(np.array([3.0, 2.0])), [7.0, 0.0])
+        np.testing.assert_array_equal(terms.deriv(np.array([3.0, 2.0])), [2.0, 0.5])
         assert AffineOp([[1.0, 0.5], [0.0, 1.0]]).separable_terms() is None
-        assert len(AffineOp(np.eye(3)).separable_terms()) == 3
+        assert AffineOp(np.eye(3)).separable_terms().lo.shape == (3,)
         grad = GradientOp(functions.burg(2))
         assert grad.as_affine() is None
-        assert [t[2] for t in grad.separable_terms()] == [(0.0, np.inf)] * 2
+        g_terms = grad.separable_terms()
+        assert list(zip(g_terms.lo.tolist(), g_terms.hi.tolist())) == [(0.0, np.inf)] * 2
         assert SkewPDOp(np.eye(1)).separable_terms() is None
 
 

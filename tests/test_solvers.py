@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.special import lambertw as scipy_lambertw
 
-from haraux import functions
-from haraux.core import DomainError
+from haraux import bounds, functions
+from haraux.core import DomainError, DualPair
 from haraux.operators import (
     AffineOp,
     GradientOp,
@@ -23,7 +24,9 @@ from haraux.solvers import (
     lambert_w,
     lambert_w_of_exp,
     prox,
+    _ELEMENTWISE_MIN_DIM,
     resolvent_residual,
+    solve_increasing_elementwise,
     solve_resolvent,
     solve_scalar_increasing,
     warped_resolvent,
@@ -66,6 +69,148 @@ class TestScalarSolve:
             solve_scalar_increasing(
                 math.tanh, None, (-math.inf, math.inf), 2.0, 1e-12,
             )
+
+
+# Increasing functions for the elementwise-against-scalar comparison:
+# (g, dg, open domain, open range, arithmetic only). Each g takes floats
+# and arrays alike.
+_INCREASING = {
+    "burg": (lambda t: -1.0 / t, lambda t: 1.0 / (t * t), (0.0, math.inf),
+             (-math.inf, 0.0), True),
+    "cubic": (lambda t: t * t * t + t, lambda t: 3.0 * t * t + 1.0, (-math.inf, math.inf),
+              (-math.inf, math.inf), True),
+    "log": (np.log, lambda t: 1.0 / t, (0.0, math.inf), (-math.inf, math.inf), False),
+    "logit": (lambda t: np.log(t) - np.log1p(-t), lambda t: 1.0 / (t * (1.0 - t)),
+              (0.0, 1.0), (-math.inf, math.inf), False),
+    "tanh": (np.tanh, None, (-math.inf, math.inf), (-1.0, 1.0), False),
+}
+
+
+def _edge_targets(g, dom, rng_):
+    """Targets whose roots lie 1e-12 and 1e-14 (past the solver's domain
+    shrink) inside each finite end of the domain, and targets 1e-12 inside
+    and 1e-3 outside each finite end of the range."""
+    targets = []
+    for end, sign in ((dom[0], 1.0), (dom[1], -1.0)):
+        if math.isfinite(end):
+            targets += [float(g(end + sign * 1e-12)), float(g(end + sign * 1e-14))]
+    for end, sign in ((rng_[0], 1.0), (rng_[1], -1.0)):
+        if math.isfinite(end):
+            targets += [end + sign * 1e-12, end - sign * 1e-3]
+    return targets
+
+
+class TestElementwiseSolve:
+    @pytest.mark.parametrize("name", sorted(_INCREASING))
+    def test_matches_the_scalar_solver(self, name):
+        g, dg, dom, rng_, arithmetic = _INCREASING[name]
+        rng = np.random.default_rng(sorted(_INCREASING).index(name))
+        lo_r = max(rng_[0], -50.0)
+        hi_r = min(rng_[1], 50.0)
+        targets = np.array(list(rng.uniform(lo_r, hi_r, 40)) + _edge_targets(g, dom, rng_))
+        # Half the coordinates start from a random interior point.
+        lo_s, hi_s = max(dom[0], -5.0), min(dom[1], 5.0)
+        x0 = np.where(rng.random(targets.shape[0]) < 0.5, np.nan,
+                      rng.uniform(lo_s, hi_s, targets.shape[0]))
+        x0[x0 <= dom[0]] = np.nan
+        x0[x0 >= dom[1]] = np.nan
+        tol = 1e-12 * (1.0 + np.abs(targets))
+
+        def scalar(i):
+            start = None if np.isnan(x0[i]) else float(x0[i])
+            try:
+                return solve_scalar_increasing(g, dg, dom, float(targets[i]),
+                                               float(tol[i]), x0=start)
+            except (NoSolutionError, ConvergenceError) as exc:
+                return exc
+
+        def elementwise(sel):
+            return solve_increasing_elementwise(g, dg, dom[0], dom[1], targets[sel],
+                                                tol[sel], x0[sel])
+
+        def raises_as(exc):
+            return pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$")
+
+        expected = [scalar(i) for i in range(targets.shape[0])]
+        failing = [i for i, r in enumerate(expected) if isinstance(r, Exception)]
+        solved = [i for i, r in enumerate(expected) if not isinstance(r, Exception)]
+        for i in range(targets.shape[0]):
+            if i in failing:
+                with raises_as(expected[i]):
+                    elementwise([i])
+            else:
+                z = elementwise([i])[0]
+                assert abs(g(z) - targets[i]) <= tol[i]
+                if arithmetic:
+                    assert z == expected[i]
+        # All at once: the roots of the solvable coordinates, and the error
+        # of the lowest failing coordinate when the batch has one.
+        z = elementwise(solved)
+        assert np.all(np.abs(g(z) - targets[solved]) <= tol[solved])
+        if arithmetic:
+            assert z.tolist() == [expected[i] for i in solved]
+        if failing:
+            with raises_as(expected[failing[0]]):
+                elementwise(slice(None))
+
+    def test_a_finished_search_stays_put(self):
+        # Coordinate 0 searches up for an unreachable target for the whole
+        # budget; coordinate 1 brackets at once and must not step on toward
+        # +inf, where sinh overflows.
+        g = lambda z: np.concatenate([np.tanh(z[:1]), np.sinh(z[1:])])
+        dg = lambda z: np.concatenate([1.0 - np.tanh(z[:1]) ** 2, np.cosh(z[1:])])
+        with pytest.raises(NoSolutionError, match="upper boundary"):
+            solve_increasing_elementwise(g, dg, -math.inf, math.inf, [2.0, 1.0], 1e-12)
+
+    @pytest.mark.parametrize("method", ["pairing", "strong", "bregman", "carlier_fy",
+                                        "carlier_haraux"])
+    @pytest.mark.parametrize("name", ["burg", "boltzmann_shannon", "fermi_dirac",
+                                      "quadratic", "quad_plus:fermi_dirac"])
+    def test_z_does_not_depend_on_the_dimension(self, name, method):
+        # At and above the crossover the solves run elementwise, below it
+        # coordinate by coordinate: z at d = _ELEMENTWISE_MIN_DIM and at
+        # d = 1000 must be the d = 1 results stacked.
+        x_box, u_box = {
+            "burg": ((0.05, 5.0), (-5.0, -0.05)),
+            "boltzmann_shannon": ((0.05, 5.0), (-3.0, 3.0)),
+            "fermi_dirac": ((0.01, 0.99), (-3.0, 3.0)),
+            "quadratic": ((-5.0, 5.0), (-5.0, 5.0)),
+            "quad_plus:fermi_dirac": ((0.01, 0.99), (-3.0, 3.0)),
+        }[name]
+        rng = np.random.default_rng(7)
+        x, u = rng.uniform(*x_box, 1000), rng.uniform(*u_box, 1000)
+
+        def z_of(d, i=0):
+            phi = functions.from_name(name, d)
+            p = DualPair(x[i:i + d], u[i:i + d])
+            if method == "carlier_haraux":
+                return bounds.bound_carlier_haraux(SubdifferentialOp(phi), p, 1.0).z
+            return bounds.fy_bound_dispatch(phi, None, p, 1.0, method).z
+
+        stacked = np.array([z_of(1, i)[0] for i in range(1000)])
+        for d in (_ELEMENTWISE_MIN_DIM, 1000):
+            np.testing.assert_allclose(z_of(d), stacked[:d], rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.5, 2.0])
+    def test_fermi_dirac_over_entropy_does_not_depend_on_the_dimension(self, gamma):
+        # The closed-form z solves each coordinate for itself; the
+        # resolvent cross-check runs elementwise from the crossover on.
+        rng = np.random.default_rng(11)
+        x, u = rng.uniform(0.01, 0.99, 1000), rng.uniform(-3.0, 3.0, 1000)
+
+        def bound(d, i=0):
+            A = SubdifferentialOp(functions.boltzmann_shannon(d))
+            p = DualPair(x[i:i + d], u[i:i + d])
+            return bounds.bound_bregman(functions.fermi_dirac(d), A, p, gamma)
+
+        single = [bound(1, i) for i in range(1000)]
+        stacked = np.array([r.z[0] for r in single])
+        for d in (_ELEMENTWISE_MIN_DIM, 1000):
+            r = bound(d)
+            assert r.method == "fermi_dirac_closed"
+            np.testing.assert_allclose(r.z, stacked[:d], rtol=1e-9, atol=1e-12)
+            assert r.value == pytest.approx(sum(s.value for s in single[:d]), rel=1e-9)
+            assert r.diagnostics["solver_z_gap"] <= 1e-9
 
 
 class TestLambertW:
