@@ -28,11 +28,6 @@ class InternalConsistencyError(RuntimeError):
     """A bound came out more negative than floating-point noise allows."""
 
 
-class UnusableBoundError(RuntimeError):
-    """The auxiliary point fell outside the kernel domain, making a
-    Bregman term +inf; the bound is reported as unusable, not returned."""
-
-
 @dataclass
 class BoundResult:
     value: float
@@ -55,13 +50,25 @@ def _finalize(value, z, method, gamma, diagnostics):
                        diagnostics=diagnostics)
 
 
+def _kernel_point(W, A, x, u, gamma):
+    """Wx and the auxiliary point z = (W + gamma*A)^{-1}(Wx + gamma*u*)
+    that every kernel bound is read off, with the residual of its
+    resolvent equation as the diagnostics."""
+    wx = W.apply(x)
+    rhs = wx + gamma * u
+    z = solve_resolvent(ResolventProblem(W, A, gamma, rhs))
+    return wx, z, {"residual": resolvent_residual(W, A, gamma, z, rhs)}
+
+
+def _pairing_value(W, A, x, u, gamma):
+    """(<x - z, Wx - Wz> / gamma, z, diagnostics) at the auxiliary point z."""
+    wx, z, diag = _kernel_point(W, A, x, u, gamma)
+    return pairing(x - z, wx - W.apply(z)) / gamma, z, diag
+
+
 def bound_pairing(W, A, p, gamma):
     """<x - z, Wx - Wz> / gamma with z = (W + gamma*A)^{-1}(Wx + gamma*u*)."""
-    x, u = p.x, p.u_star
-    rhs = W.apply(x) + gamma * u
-    z = solve_resolvent(ResolventProblem(W, A, gamma, rhs))
-    value = pairing(x - z, W.apply(x) - W.apply(z)) / gamma
-    diag = {"residual": resolvent_residual(W, A, gamma, z, rhs)}
+    value, z, diag = _pairing_value(W, A, p.x, p.u_star, gamma)
     return _finalize(value, z, "pairing", gamma, diag)
 
 
@@ -70,12 +77,10 @@ def bound_modulus(W, A, p, gamma, modulus=None):
     modulus = modulus if modulus is not None else W.modulus
     if modulus is None:
         raise ValueError("no modulus declared for the kernel operator")
-    x, u = p.x, p.u_star
-    rhs = W.apply(x) + gamma * u
-    z = solve_resolvent(ResolventProblem(W, A, gamma, rhs))
+    x = p.x
+    _, z, diag = _kernel_point(W, A, x, p.u_star, gamma)
     value = modulus(float(np.linalg.norm(x - z))) / gamma
     method = "strong" if modulus.kind == "strong" else "modulus"
-    diag = {"residual": resolvent_residual(W, A, gamma, z, rhs)}
     return _finalize(value, z, method, gamma, diag)
 
 
@@ -178,52 +183,39 @@ def fermi_dirac_bound_closed(x, u, gamma):
 def bound_bregman(f, A, p, gamma):
     """(D_f(x,z) + D_f(z,x)) / gamma with z from the Bregman-type resolvent.
 
-    Catalog pairs (Burg self-pair, Fermi-Dirac over Boltzmann-Shannon) use
-    their closed forms as the authoritative value; the generic solver
-    result is recorded in the diagnostics as a cross-check, and so is its
-    failure, which leaves the closed form standing.
+    The sum equals <x - z, grad f(x) - grad f(z)>, so the generic route is
+    the pairing bound with kernel grad f. Catalog pairs (Burg self-pair,
+    Fermi-Dirac over Boltzmann-Shannon) use their closed forms as the
+    authoritative value; the generic solver result is recorded in the
+    diagnostics as a cross-check, and so is its failure, which leaves the
+    closed form standing.
     """
     x, u = p.x, p.u_star
     if not f.in_interior(x):
         raise DomainError("x must lie strictly inside dom f")
     W = GradientOp(f)
-    rhs = f.gradient(x) + gamma * u
-
-    method = "bregman"
-    closed = None
     if f.name == "burg" and _is_op_of(A, "burg"):
-        closed = burg_self_bound_closed(x, u, gamma)
-        method = "burg_closed"
+        (value, z), method = burg_self_bound_closed(x, u, gamma), "burg_closed"
     elif f.name == "fermi_dirac" and _is_op_of(A, "boltzmann_shannon"):
-        closed = fermi_dirac_bound_closed(x, u, gamma)
-        method = "fermi_dirac_closed"
+        (value, z), method = fermi_dirac_bound_closed(x, u, gamma), "fermi_dirac_closed"
+    else:
+        value, z, diag = _pairing_value(W, A, x, u, gamma)
+        diag["near_boundary"] = not f.in_interior(z)
+        return _finalize(value, z, "bregman", gamma, diag)
 
+    rhs = f.gradient(x) + gamma * u
     diag = {}
     try:
         z_num = solve_resolvent(ResolventProblem(W, A, gamma, rhs))
+        diag["solver_z_gap"] = float(np.max(np.abs(z - z_num)))
     except (NoSolutionError, ConvergenceError) as exc:
-        if closed is None:
-            raise
         diag["crosscheck_error"] = f"{type(exc).__name__}: {exc}"
-        z_num = None
-    if closed is not None:
-        value, z = closed
-        if z_num is not None:
-            diag["solver_z_gap"] = float(np.max(np.abs(z - z_num)))
-    else:
-        z = z_num
-        if not f.in_interior(z):
-            raise UnusableBoundError(
-                "auxiliary point left the interior of dom f; the Bregman "
-                "terms are +inf"
-            )
-        value = (f.bregman(x, z) + f.bregman(z, x)) / gamma
+        z_num = z
     # Without a cross-check the residual is taken at the closed-form z;
     # it is +inf when that z is within the boundary tolerance of dom f,
     # where the gradient is not evaluated.
-    z_res = z if z_num is None else z_num
-    diag["residual"] = (resolvent_residual(W, A, gamma, z_res, rhs)
-                        if f.in_interior(z_res) else math.inf)
+    diag["residual"] = (resolvent_residual(W, A, gamma, z_num, rhs)
+                        if f.in_interior(z_num) else math.inf)
     diag["near_boundary"] = not f.in_interior(z)
     return _finalize(value, z, method, gamma, diag)
 
@@ -241,13 +233,9 @@ def bound_legendre_self(phi, p, gamma):
 
 
 def bound_carlier_haraux(A, p, gamma):
-    """Baseline ||x - J_{gamma A}(x + gamma*u*)||^2 / gamma."""
-    x, u = p.x, p.u_star
-    W = identity(x.shape[0])
-    rhs = x + gamma * u
-    z = solve_resolvent(ResolventProblem(W, A, gamma, rhs))
-    value = float(np.dot(x - z, x - z)) / gamma
-    diag = {"residual": resolvent_residual(W, A, gamma, z, rhs)}
+    """Baseline ||x - J_{gamma A}(x + gamma*u*)||^2 / gamma: the pairing
+    bound with kernel W = Id."""
+    value, z, diag = _pairing_value(identity(p.dim), A, p.x, p.u_star, gamma)
     return _finalize(value, z, "carlier_haraux", gamma, diag)
 
 

@@ -454,7 +454,7 @@ def main(argv=None):
         print(f"error: numeric overflow at this input ({exc})", file=sys.stderr)
         return EXIT_CONFIG
     except (NoSolutionError, ConvergenceError, UnsupportedOperatorError,
-            bounds.InternalConsistencyError, bounds.UnusableBoundError) as exc:
+            bounds.InternalConsistencyError) as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector, pairing
+from .core import as_vector
 from .functions import SeparableFunction
 from .operators import (
     AffineOp,
@@ -20,13 +20,7 @@ from .operators import (
     SubdifferentialOp,
     UniformModulus,
 )
-from .solvers import (
-    ResolventProblem,
-    bregman_prox,
-    resolvent_residual,
-    solve_resolvent,
-)
-from .bounds import _finalize
+from .bounds import _finalize, _pairing_value
 
 
 @dataclass
@@ -59,8 +53,6 @@ class KTInstance:
     gamma: float
     W_X: MonotoneOperator
     W_Ystar: MonotoneOperator
-    f: SeparableFunction = None
-    g_star: SeparableFunction = None
 
     def __post_init__(self):
         self.L = np.atleast_2d(np.asarray(self.L, dtype=float))
@@ -78,12 +70,8 @@ def primal_primal_bound(inst, x, y):
     for the direct-sum operator; the diagonal y = x gives the gauge."""
     x = as_vector(x)
     y = as_vector(y)
-    W, A, B, gamma = inst.W, inst.A, inst.B, inst.gamma
-    u = -B.apply(y)
-    rhs = W.apply(x) + gamma * u
-    z = solve_resolvent(ResolventProblem(W, A, gamma, rhs))
-    value = pairing(x - z, W.apply(x) - W.apply(z)) / gamma
-    diag = {"residual": resolvent_residual(W, A, gamma, z, rhs)}
+    gamma = inst.gamma
+    value, z, diag = _pairing_value(inst.W, inst.A, x, -inst.B.apply(y), gamma)
     if inst.modulus is not None:
         diag["modulus_value"] = inst.modulus(float(np.linalg.norm(x - z))) / gamma
     if inst.f is not None:
@@ -105,24 +93,12 @@ def kt_gauge_bound(inst, x, y_star):
     x = as_vector(x)
     y_star = as_vector(y_star)
     gamma, L = inst.gamma, inst.L
-
-    rhs_x = inst.W_X.apply(x) - gamma * (L.T @ y_star)
-    zx = solve_resolvent(ResolventProblem(inst.W_X, inst.C, gamma, rhs_x))
-    comp_x = pairing(x - zx, inst.W_X.apply(x) - inst.W_X.apply(zx)) / gamma
-
-    rhs_y = inst.W_Ystar.apply(y_star) + gamma * (L @ x)
-    zy = solve_resolvent(ResolventProblem(inst.W_Ystar, inst.D_inv, gamma, rhs_y))
-    comp_y = pairing(
-        y_star - zy, inst.W_Ystar.apply(y_star) - inst.W_Ystar.apply(zy)
-    ) / gamma
-
+    comp_x, zx, diag_x = _pairing_value(inst.W_X, inst.C, x, -(L.T @ y_star), gamma)
+    comp_y, zy, diag_y = _pairing_value(inst.W_Ystar, inst.D_inv, y_star, L @ x, gamma)
     diag = {
         "component_primal": max(comp_x, 0.0),
         "component_dual": max(comp_y, 0.0),
-        "residual": max(
-            resolvent_residual(inst.W_X, inst.C, gamma, zx, rhs_x),
-            resolvent_residual(inst.W_Ystar, inst.D_inv, gamma, zy, rhs_y),
-        ),
+        "residual": max(diag_x["residual"], diag_y["residual"]),
     }
     return _finalize(
         comp_x + comp_y, np.concatenate([zx, zy]), "kt_gauge", gamma, diag
@@ -139,16 +115,14 @@ def fr_gauge_bound(f, g_star, phi, psi_star, L, gamma, x, y_star):
     if gamma <= 0:
         raise ValueError("gamma must be positive")
 
-    sx = f.gradient(x) - gamma * (L.T @ y_star)
-    zx = bregman_prox(f, phi, gamma, sx)
-    sy = g_star.gradient(y_star) + gamma * (L @ x)
-    zy = bregman_prox(g_star, psi_star, gamma, sy)
-
-    comp_x = (f.bregman(x, zx) + f.bregman(zx, x)) / gamma
-    comp_y = (g_star.bregman(y_star, zy) + g_star.bregman(zy, y_star)) / gamma
+    comp_x, zx, diag_x = _pairing_value(
+        GradientOp(f), SubdifferentialOp(phi), x, -(L.T @ y_star), gamma)
+    comp_y, zy, diag_y = _pairing_value(
+        GradientOp(g_star), SubdifferentialOp(psi_star), y_star, L @ x, gamma)
     diag = {
         "component_primal": max(comp_x, 0.0),
         "component_dual": max(comp_y, 0.0),
+        "residual": max(diag_x["residual"], diag_y["residual"]),
         "near_boundary": not (f.in_interior(zx) and g_star.in_interior(zy)),
     }
     return _finalize(

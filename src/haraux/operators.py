@@ -63,7 +63,6 @@ class MonotoneOperator:
     """
 
     dim_in = None
-    dim_out = None
     modulus = None
 
     def apply(self, x):
@@ -130,7 +129,7 @@ class GradientOp(MonotoneOperator):
         if not isinstance(f, SeparableFunction):
             raise TypeError("GradientOp requires a SeparableFunction")
         self.f = f
-        self.dim_in = self.dim_out = f.dim
+        self.dim_in = f.dim
         self.modulus = modulus
 
     def apply(self, x):
@@ -181,7 +180,7 @@ class AffineOp(MonotoneOperator):
                 )
         self.M = M
         self.b = b
-        self.dim_in = self.dim_out = M.shape[0]
+        self.dim_in = M.shape[0]
         self.modulus = modulus
 
     def apply(self, x):
@@ -222,7 +221,7 @@ class DiagonalOp(MonotoneOperator):
             )
         self.d = d
         self.b = b
-        self.dim_in = self.dim_out = d.shape[0]
+        self.dim_in = d.shape[0]
         self.modulus = modulus
 
     def apply(self, x):
@@ -270,7 +269,7 @@ class Joca16Op(MonotoneOperator):
             )
         self.beta = beta
         self.psi = psi
-        self.dim_in = self.dim_out = 2
+        self.dim_in = 2
 
     def apply(self, x):
         x = as_vector(x)
@@ -293,7 +292,7 @@ class SkewPDOp(MonotoneOperator):
         L = np.atleast_2d(np.asarray(L, dtype=float))
         self.L = L
         self.m, self.n = L.shape
-        self.dim_in = self.dim_out = self.n + self.m
+        self.dim_in = self.n + self.m
 
     def apply(self, x):
         x = as_vector(x)

@@ -466,13 +466,13 @@ def _prox_part(p, gamma, t, tol=None):
 
 
 def _prox_part_array(p, gamma, t, tol=None):
-    """_prox_part over an array t: the closed form when p carries one,
-    else the generic solve, coordinate by coordinate below
-    _ELEMENTWISE_MIN_DIM entries and elementwise from there on."""
-    if p.prox_fn is not None:
-        return p.arrays.prox_fn(t, gamma)
+    """_prox_part over an array t: coordinate by coordinate below
+    _ELEMENTWISE_MIN_DIM entries; from there on the array closed form when
+    p carries one, else the generic solve elementwise."""
     if t.shape[0] < _ELEMENTWISE_MIN_DIM:
         return np.array([_prox_part(p, gamma, ti, tol) for ti in t.tolist()], dtype=float)
+    if p.prox_fn is not None:
+        return p.arrays.prox_fn(t, gamma)
     if tol is None:
         tol = _ATOL * (1.0 + np.abs(t))
     g = lambda z: z + gamma * p.arrays.deriv(z)
@@ -492,10 +492,6 @@ def prox(phi, gamma, x):
 
     tol = _ATOL * (1.0 + float(np.max(np.abs(x))))
     out = np.empty_like(x)
-    if x.shape[0] < _ELEMENTWISE_MIN_DIM:
-        for i, (p, xi) in enumerate(zip(phi.parts, x)):
-            out[i] = _prox_part(p, gamma, xi, tol)
-        return out
     for p, coords in phi.groups:
         out[coords] = _prox_part_array(p, gamma, x[coords], tol)
     return out

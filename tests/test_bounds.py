@@ -119,23 +119,29 @@ class TestClosedForms:
 
 class TestOrderingAndDomination:
     @pytest.mark.parametrize("name", [
-        "quadratic", "burg", "boltzmann_shannon", "quad_plus:quadratic",
+        "quadratic", "burg", "boltzmann_shannon", "fermi_dirac", "quad_plus:quadratic",
         "quad_plus:burg", "quad_plus:boltzmann_shannon", "quad_plus:fermi_dirac",
     ])
     def test_bounds_below_exact(self, name, rng):
-        phi = functions.from_name(name)
         inner = name.split(":")[-1]
         box = {"quadratic": (-4, 4), "burg": (0.2, 4.0),
                "boltzmann_shannon": (0.2, 4.0), "fermi_dirac": (0.05, 0.95)}[inner]
         # The conjugate of ||.||^2/2 + psi is finite everywhere.
         cbox = {"quadratic": (-4, 4), "burg": (-4.0, -0.2),
                 "boltzmann_shannon": (-2.0, 2.0)}.get(name, (-4.0, 4.0))
-        for _ in range(25):
-            p = DualPair([rng.uniform(*box)], [rng.uniform(*cbox)])
-            exact = exact_fenchel_young(phi, p)
-            for method in FY_METHODS:
-                b = fy_bound_dispatch(phi, None, p, 1.0, method)
-                assert b.value <= exact + 1e-9, (name, method)
+        for dim, points in ((1, 25), (24, 3), (1000, 1)):
+            phi = functions.from_name(name, dim)
+            for _ in range(points):
+                p = DualPair(rng.uniform(*box, dim), rng.uniform(*cbox, dim))
+                exact = exact_fenchel_young(phi, p)
+                for method in FY_METHODS:
+                    b = fy_bound_dispatch(phi, None, p, 1.0, method)
+                    assert b.value <= exact + 1e-9, (name, dim, method)
+                    if b.method == "bregman":
+                        # <x - z, grad phi(x) - grad phi(z)> / gamma is the
+                        # symmetrized Bregman distance.
+                        ref = phi.bregman(p.x, b.z) + phi.bregman(b.z, p.x)
+                        assert b.value == pytest.approx(ref, rel=1e-12), (name, dim)
 
     def test_strong_never_beats_pairing(self, rng):
         # With W = Id the modulus bound equals the pairing bound; with a
@@ -162,13 +168,20 @@ class TestOrderingAndDomination:
 
 class TestHarauxRoute:
     def test_carlier_haraux_matches_carlier_fy(self, rng):
-        phi = functions.burg()
-        A = SubdifferentialOp(phi)
-        for _ in range(10):
-            p = DualPair([rng.uniform(0.2, 3.0)], [rng.uniform(-3.0, -0.2)])
-            b1 = bound_carlier_haraux(A, p, 1.0)
-            b2 = bound_carlier_fy(phi, p, 1.0)
-            assert b1.value == pytest.approx(b2.value, abs=1e-12)
+        for dim in (1, 24, 1000):
+            phi = functions.burg(dim)
+            A = SubdifferentialOp(phi)
+            for _ in range(10 if dim == 1 else 2):
+                p = DualPair(rng.uniform(0.2, 3.0, dim), rng.uniform(-3.0, -0.2, dim))
+                b1 = bound_carlier_haraux(A, p, 1.0)
+                b2 = bound_carlier_fy(phi, p, 1.0)
+                tol = {"abs": 1e-12} if dim == 1 else {"rel": 1e-12}
+                assert b1.value == pytest.approx(b2.value, **tol)
+                # The baseline is the pairing bound with kernel W = Id, bit
+                # for bit.
+                b0 = bound_pairing(identity(dim), A, p, 1.0)
+                assert b1.value == b0.value and np.array_equal(b1.z, b0.z)
+                assert b1.diagnostics["residual"] == b0.diagnostics["residual"]
 
     def test_pairing_zero_on_graph(self, rng):
         phi = functions.boltzmann_shannon()

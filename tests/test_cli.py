@@ -139,8 +139,7 @@ class TestErrorPaths:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "exc", [bounds.InternalConsistencyError, bounds.UnusableBoundError])
+    @pytest.mark.parametrize("exc", [bounds.InternalConsistencyError])
     def test_bound_errors_are_solver_failures(self, capsys, monkeypatch, exc):
         def fail(*args, **kwargs):
             raise exc("bound not usable")

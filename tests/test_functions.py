@@ -127,20 +127,26 @@ class TestSeparable:
     @pytest.mark.parametrize("d", [4, 40])
     def test_mixed_parts_on_arrays(self, d, rng):
         # Interleaved parts form two groups; every array method must match
-        # the parts coordinate by coordinate, below and above the size at
-        # which the prox solves elementwise.
+        # the parts coordinate by coordinate. At d = 40 the quadratic group
+        # (30 coordinates) is above the size at which the prox runs on
+        # arrays and the burg group (10) below it.
         burg, quad = functions._burg_scalar(), functions._quadratic_scalar()
-        parts = [burg if i % 2 == 0 else quad for i in range(d)]
+        parts = [burg if i % 4 == 0 else quad for i in range(d)]
         f = functions.SeparableFunction(parts)
         assert len(f.groups) == 2
         x = rng.uniform(0.1, 3.0, d)
         s = -rng.uniform(0.1, 3.0, d)
         assert f.gradient(x).tolist() == [p.deriv(t) for p, t in zip(parts, x.tolist())]
         assert f.grad_conj(s).tolist() == [p.deriv_inv(v) for p, v in zip(parts, s.tolist())]
-        assert f.in_interior(x) and not f.in_interior(np.where(np.arange(d) == 2, 0.0, x))
-        np.testing.assert_allclose(solvers.prox(f, 0.5, s),
-                                   [p.prox_fn(v, 0.5) for p, v in zip(parts, s.tolist())],
+        assert f.in_interior(x) and not f.in_interior(np.where(np.arange(d) == 0, 0.0, x))
+        z = solvers.prox(f, 0.5, s)
+        np.testing.assert_allclose(z, [p.prox_fn(v, 0.5) for p, v in zip(parts, s.tolist())],
                                    rtol=1e-15)
+        # Each group's size alone picks its path: the prox of a mixed
+        # function is, bit for bit, the prox of each part on its coordinates.
+        for p, coords in f.groups:
+            alone = functions.SeparableFunction(p, len(coords))
+            assert np.array_equal(z[coords], solvers.prox(alone, 0.5, s[coords]))
 
     def test_part_without_array_formulas(self, rng):
         # A hand-built part maps its float formulas over the elements.

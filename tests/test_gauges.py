@@ -135,14 +135,25 @@ class TestFRGauge:
         assert b.value >= 1e-4
 
     def test_entropic_kernels(self):
-        f = functions.boltzmann_shannon()
-        g = functions.boltzmann_shannon()
-        phi = functions.boltzmann_shannon()
-        psi = functions.boltzmann_shannon()
-        b = fr_gauge_bound(f, g, phi, psi, np.array([[0.3]]), 1.0,
-                           [0.7], [1.2])
-        assert b.value >= 0.0
-        assert "near_boundary" in b.diagnostics
+        for kernel, x, y_star in (
+            ("boltzmann_shannon", [0.7], [1.2]),
+            ("fermi_dirac", [0.7], [0.4]),
+            ("quad_plus:burg", [0.7, 2.0, 0.3], [1.2, 0.5, 3.0]),
+        ):
+            d = len(x)
+            f = functions.from_name(kernel, d)
+            g = functions.from_name(kernel, d)
+            phi = functions.boltzmann_shannon(d)
+            psi = functions.boltzmann_shannon(d)
+            b = fr_gauge_bound(f, g, phi, psi, np.full((d, d), 0.3), 1.0, x, y_star)
+            assert b.value >= 0.0
+            assert "near_boundary" in b.diagnostics
+            # Each component is the symmetrized Bregman distance of its block.
+            zx, zy = b.z[:d], b.z[d:]
+            ref_x = f.bregman(x, zx) + f.bregman(zx, x)
+            ref_y = g.bregman(y_star, zy) + g.bregman(zy, y_star)
+            assert b.diagnostics["component_primal"] == pytest.approx(ref_x, rel=1e-12)
+            assert b.diagnostics["component_dual"] == pytest.approx(ref_y, rel=1e-12)
 
     def test_gamma_validation(self):
         f = functions.quadratic(1)
