@@ -17,7 +17,9 @@ speed reaches all trees alike. The layers are:
   ``carlier_haraux`` with A = subdiff(burg);
 - ``sample_graph``: the oracle grid of subdiff(burg); a d-dimensional grid
   has n^d points, so it is measured at d = 1 (4096 points), d = 2
-  (129 x 129) and d = 10 (2 per axis) only.
+  (129 x 129) and d = 10 (2 per axis) only; and, under the key
+  ``joca16:quadratic``, the 257 x 257 grid of Joca16Op(2, quadratic), the
+  refined grid of the 2-D oracle certification.
 
 A tree whose solvers have the private ``_ELEMENTWISE_MIN_DIM`` also gets
 the resolvent crossover: the time of the coordinate-by-coordinate loop and
@@ -128,6 +130,10 @@ def measure():
         box = oracle.default_box(A)
         out["sample_graph"][d] = {"n_per_dim": n,
                                   "us": time_call(lambda: oracle.sample_graph(A, box, n))}
+    A = operators.Joca16Op(2.0, functions.quadratic(1).parts[0])
+    box = oracle.default_box(A)
+    out["sample_graph"]["joca16:quadratic"] = {
+        "n_per_dim": 257, "us": time_call(lambda: oracle.sample_graph(A, box, 257))}
 
     if hasattr(solvers, "_ELEMENTWISE_MIN_DIM"):
         out["crossover"] = crossover(solvers, resolvent)

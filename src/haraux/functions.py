@@ -36,7 +36,8 @@ def _mapped(fn):
     """A float formula applied to each element of an array."""
     if fn is None:
         return None
-    return lambda t, *args: np.array([fn(ti, *args) for ti in t.tolist()], dtype=float)
+    return lambda t, *args: np.array(
+        [fn(ti, *args) for ti in t.ravel().tolist()], dtype=float).reshape(t.shape)
 
 
 def _conjugate_forms(f):
@@ -183,10 +184,11 @@ class SeparableFunction:
 
     def _evaluate(self, form, z):
         """The array formula ``form`` (a field of ``ScalarLegendre.arrays``)
-        of each part at its coordinates of z."""
+        of each part at its coordinates of z, a vector or a batch of row
+        vectors."""
         out = np.empty_like(z)
         for part, coords in self.groups:
-            out[coords] = getattr(part.arrays, form)(z[coords])
+            out[..., coords] = getattr(part.arrays, form)(z[..., coords])
         return out
 
     def _inside(self, x):
@@ -200,7 +202,11 @@ class SeparableFunction:
         return self._inside(_check_dim(x, self.dim))
 
     def gradient(self, x):
-        x = _check_dim(x, self.dim)
+        return self._gradient_at(_check_dim(x, self.dim))
+
+    def _gradient_at(self, x):
+        """The gradient at a checked vector, or at each row of a checked
+        batch; one interior test covers the whole batch."""
         if not self._inside(x):
             raise DomainError("gradient requires a point strictly inside the domain")
         return self._evaluate("deriv", x)

@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import INF, DomainError, as_vector, pairing
+from .core import INF, DomainError, as_vector
 from .functions import ScalarLegendre, SeparableFunction
 
 
@@ -54,8 +54,25 @@ def custom_modulus(fn):
     return UniformModulus(kind="custom", fn=fn)
 
 
+def _rows(Y, dim):
+    """Y as a (k, dim) float array of finite entries, one point per row."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2:
+        raise ValueError(f"expected a (k, {dim}) batch of points, got shape {Y.shape}")
+    if Y.shape[1] != dim:
+        raise DomainError(f"points of dimension {Y.shape[1]} for an operator on R^{dim}")
+    if not np.isfinite(Y).all():
+        raise ValueError("vector entries must be finite")
+    return Y
+
+
 class MonotoneOperator:
     """Base class; subclasses implement apply(x) as a single-valued selection.
+
+    ``apply_rows(Y)`` applies the operator to each row of a (k, dim_in)
+    batch; the base class loops over the rows, and the operators the graph
+    oracle samples (``GradientOp``, ``Joca16Op``) evaluate the batch in one
+    array expression.
 
     Two optional structure queries let the solvers pick a route without
     knowing the concrete class: ``separable_terms()`` for operators that
@@ -67,6 +84,14 @@ class MonotoneOperator:
 
     def apply(self, x):
         raise NotImplementedError
+
+    def apply_rows(self, Y):
+        """Row i of the result is apply(Y[i])."""
+        Y = _rows(Y, self.dim_in)
+        out = np.empty_like(Y)
+        for i, y in enumerate(Y):
+            out[i] = self.apply(y)
+        return out
 
     def __call__(self, x):
         return self.apply(x)
@@ -134,6 +159,9 @@ class GradientOp(MonotoneOperator):
 
     def apply(self, x):
         return self.f.gradient(x)
+
+    def apply_rows(self, Y):
+        return self.f._gradient_at(_rows(Y, self.dim_in))
 
     def separable_terms(self):
         f = self.f
@@ -261,7 +289,7 @@ class Joca16Op(MonotoneOperator):
         a = lo if np.isfinite(lo) else -10.0
         b = hi if np.isfinite(hi) else 10.0
         grid = np.linspace(a, b, 202)[1:-1]
-        d = np.array([psi.deriv(t) for t in grid])
+        d = psi.arrays.deriv(grid)
         slopes = np.abs(np.diff(d) / np.diff(grid))
         if slopes.max() > beta + 1e-8:
             raise ValueError(
@@ -275,12 +303,23 @@ class Joca16Op(MonotoneOperator):
         x = as_vector(x)
         if x.shape[0] != 2:
             raise DomainError("this operator acts on R^2")
-        t1, t2 = x
-        d1 = self.psi.deriv(t1)
-        d2 = self.psi.deriv(t2)
-        return np.array(
-            [self.beta * t1 - d1 - t2, t1 + self.beta * t2 - d2]
-        )
+        self._check_domain(x)
+        return np.array(self._map(x[0], x[1], self.psi.deriv))
+
+    def apply_rows(self, Y):
+        Y = _rows(Y, self.dim_in)
+        self._check_domain(Y)
+        return np.column_stack(self._map(Y[:, 0], Y[:, 1], self.psi.arrays.deriv))
+
+    def _check_domain(self, x):
+        lo, hi = self.psi.dom
+        if not ((lo < x) & (x < hi)).all():
+            raise DomainError(f"a coordinate lies outside the domain {self.psi.dom} of psi")
+
+    def _map(self, t1, t2, deriv):
+        """The two components at coordinates t1, t2 (floats or columns),
+        with deriv the matching form of psi'."""
+        return self.beta * t1 - deriv(t1) - t2, t1 + self.beta * t2 - deriv(t2)
 
 
 class SkewPDOp(MonotoneOperator):
@@ -317,18 +356,14 @@ def monotonicity_probe(op, box, n=200, seed=0, modulus=None):
     hi = np.array([b[1] for b in box])
     modulus = modulus if modulus is not None else op.modulus
 
-    min_pairing = np.inf
-    min_modulus_slack = np.inf
-    for _ in range(n):
-        x = lo + (hi - lo) * rng.random(op.dim_in)
-        y = lo + (hi - lo) * rng.random(op.dim_in)
-        gap = pairing(x - y, op.apply(x) - op.apply(y))
-        min_pairing = min(min_pairing, gap)
-        if modulus is not None:
-            min_modulus_slack = min(
-                min_modulus_slack, gap - modulus(float(np.linalg.norm(x - y)))
-            )
-    report = {"n": n, "min_pairing": float(min_pairing)}
+    # Pair k is rows (k, 0) and (k, 1): the draws of alternating
+    # rng.random(dim) calls, x then y.
+    pairs = lo + (hi - lo) * rng.random((n, 2, op.dim_in))
+    x, y = pairs[:, 0], pairs[:, 1]
+    diff = x - y
+    gaps = np.einsum("kj,kj->k", diff, op.apply_rows(x) - op.apply_rows(y))
+    report = {"n": n, "min_pairing": float(np.min(gaps, initial=np.inf))}
     if modulus is not None:
-        report["min_modulus_slack"] = float(min_modulus_slack)
+        phis = np.array([modulus(float(np.linalg.norm(d))) for d in diff])
+        report["min_modulus_slack"] = float(np.min(gaps - phis, initial=np.inf))
     return report

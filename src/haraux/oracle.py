@@ -57,7 +57,7 @@ def sample_graph(A, box, n_per_dim):
     axes = [np.linspace(lo, hi, n_per_dim) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     y = np.stack([m.ravel() for m in mesh], axis=-1)
-    y_star = np.array([A.apply(pt) for pt in y])
+    y_star = A.apply_rows(y)
     return GraphSample(
         y=y,
         y_star=y_star,

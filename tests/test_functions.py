@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from haraux import functions, solvers
 from haraux.core import INF, DomainError
+from haraux.operators import GradientOp
 
 # Interior sampling boxes for each catalog function and its conjugate.
 BOXES = {
@@ -159,6 +160,8 @@ class TestSeparable:
         x = rng.normal(size=40)
         np.testing.assert_array_equal(f.gradient(x), x - 1.0)
         np.testing.assert_array_equal(f.grad_conj(x), x + 1.0)
+        X = rng.normal(size=(5, 40))
+        np.testing.assert_array_equal(GradientOp(f).apply_rows(X), X - 1.0)
         # No closed-form prox: z + gamma (z - 1) = x, solved elementwise.
         np.testing.assert_allclose(solvers.prox(f, 2.0, x), (x + 2.0) / 3.0, atol=1e-11)
 

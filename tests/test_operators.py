@@ -8,6 +8,7 @@ from haraux.operators import (
     DiagonalOp,
     GradientOp,
     Joca16Op,
+    MonotoneOperator,
     SkewPDOp,
     SubdifferentialOp,
     custom_modulus,
@@ -165,6 +166,15 @@ class TestJoca16Op:
         with pytest.raises(DomainError):
             op.apply([1.0, 2.0, 3.0])
 
+    def test_point_outside_the_domain_of_psi(self):
+        op = Joca16Op(300.0, functions._burg_scalar())  # psi' = -1/t on (0, inf)
+        with pytest.raises(DomainError):
+            op.apply([1.0, -0.5])
+        Y = np.ones((5, 2))
+        Y[3, 0] = 0.0
+        with pytest.raises(DomainError):
+            op.apply_rows(Y)
+
 
 class TestSkewPDOp:
     def test_pairing_vanishes(self, rng):
@@ -195,3 +205,129 @@ class TestMonotonicityProbe:
     def test_box_dimension_checked(self):
         with pytest.raises(ValueError):
             monotonicity_probe(identity(2), [(-1.0, 1.0)], n=5)
+
+
+# Interior boxes of the catalog parts, for batches of points inside dom f.
+_BOX = {
+    "quadratic": (-5.0, 5.0),
+    "burg": (0.05, 5.0),
+    "boltzmann_shannon": (0.05, 5.0),
+    "fermi_dirac": (0.01, 0.99),
+    "quad_plus:burg": (0.05, 5.0),
+}
+
+
+def _row_loop(op, Y):
+    return np.array([op.apply(y) for y in Y])
+
+
+def _mixed_function():
+    """d = 40: burg, fermi_dirac and quadratic parts interleaved."""
+    names = ["burg", "fermi_dirac", "quadratic"]
+    parts = {n: functions.from_name(n).parts[0] for n in names}
+    order = [names[i % 3] for i in range(40)]
+    return functions.SeparableFunction([parts[n] for n in order]), order
+
+
+class TestApplyRows:
+    @pytest.mark.parametrize("name", sorted(_BOX))
+    def test_gradient_equals_row_loop(self, name, rng):
+        op = SubdifferentialOp(functions.from_name(name, 40))
+        Y = rng.uniform(*_BOX[name], size=(64, 40))
+        out = op.apply_rows(Y)
+        assert out.shape == Y.shape
+        np.testing.assert_array_equal(out, _row_loop(op, Y))
+
+    def test_mixed_parts_equal_row_loop(self, rng):
+        f, order = _mixed_function()
+        Y = np.column_stack([rng.uniform(*_BOX[n], size=64) for n in order])
+        op = GradientOp(f)
+        np.testing.assert_array_equal(op.apply_rows(Y), _row_loop(op, Y))
+
+    def test_joca16_equals_row_loop(self, rng):
+        op = Joca16Op(2.0, functions._quadratic_scalar())
+        Y = rng.uniform(-10.0, 10.0, size=(500, 2))
+        np.testing.assert_array_equal(op.apply_rows(Y), _row_loop(op, Y))
+
+    def test_matrix_and_diagonal_operators_equal_row_loop(self, rng):
+        # These run the base-class loop over apply.
+        M = rng.normal(size=(6, 6))
+        ops = [AffineOp(M @ M.T + M - M.T, rng.normal(size=6)), SkewPDOp(rng.normal(size=(2, 4))),
+               DiagonalOp(rng.uniform(0.0, 3.0, 6), rng.normal(size=6))]
+        Y = rng.normal(size=(50, 6))
+        for op in ops:
+            np.testing.assert_array_equal(op.apply_rows(Y), _row_loop(op, Y))
+
+    def test_base_class_loops_over_rows(self, rng):
+        class Cubic(MonotoneOperator):
+            dim_in = 3
+
+            def apply(self, x):
+                return np.asarray(x) ** 3
+
+        op = Cubic()
+        Y = rng.normal(size=(20, 3))
+        np.testing.assert_array_equal(op.apply_rows(Y), _row_loop(op, Y))
+
+    def test_row_outside_the_domain_raises(self):
+        Y = np.full((10, 3), 0.5)
+        Y[7, 1] = -0.5
+        with pytest.raises(DomainError):
+            GradientOp(functions.burg(3)).apply_rows(Y)
+
+    def test_wrong_width_raises_like_apply(self):
+        ops = [GradientOp(functions.burg(2)), AffineOp(np.eye(2)), DiagonalOp([1.0, 2.0]),
+               Joca16Op(1.0, functions._quadratic_scalar()), SkewPDOp(np.eye(1))]
+        for op in ops:
+            with pytest.raises(DomainError):
+                op.apply(np.ones(3))
+            with pytest.raises(DomainError):
+                op.apply_rows(np.ones((4, 3)))
+
+
+def _probe_loop(op, box, n, seed, modulus=None):
+    """The monotonicity probe written as one pair per iteration."""
+    rng = np.random.default_rng(seed)
+    lo = np.array([b[0] for b in box])
+    hi = np.array([b[1] for b in box])
+    modulus = modulus if modulus is not None else op.modulus
+    min_pairing = min_slack = np.inf
+    for _ in range(n):
+        x = lo + (hi - lo) * rng.random(op.dim_in)
+        y = lo + (hi - lo) * rng.random(op.dim_in)
+        gap = pairing(x - y, op.apply(x) - op.apply(y))
+        min_pairing = min(min_pairing, gap)
+        if modulus is not None:
+            min_slack = min(min_slack, gap - modulus(float(np.linalg.norm(x - y))))
+    report = {"n": n, "min_pairing": float(min_pairing)}
+    if modulus is not None:
+        report["min_modulus_slack"] = float(min_slack)
+    return report
+
+
+class TestProbeMatchesLoop:
+    @pytest.mark.parametrize("name", ["quadratic", "burg", "boltzmann_shannon", "fermi_dirac"])
+    def test_catalog_gradients(self, name):
+        op = GradientOp(functions.from_name(name))
+        for seed in range(5):
+            assert monotonicity_probe(op, [_BOX[name]], n=100, seed=seed) == \
+                _probe_loop(op, [_BOX[name]], 100, seed)
+
+    def test_with_modulus(self):
+        op = identity(1)
+        assert monotonicity_probe(op, [(-2.0, 2.0)], n=50, seed=1) == \
+            _probe_loop(op, [(-2.0, 2.0)], 50, 1)
+        mod = power(0.5, 3.0)
+        assert monotonicity_probe(op, [(-2.0, 2.0)], n=50, seed=2, modulus=mod) == \
+            _probe_loop(op, [(-2.0, 2.0)], 50, 2, modulus=mod)
+
+    def test_two_dimensional(self):
+        op = Joca16Op(1.0, functions._quadratic_scalar())
+        box = [(-3.0, 3.0), (-3.0, 3.0)]
+        rep = monotonicity_probe(op, box, n=200, seed=3)
+        ref = _probe_loop(op, box, 200, 3)
+        assert rep["min_pairing"] == pytest.approx(ref["min_pairing"], rel=1e-14, abs=1e-15)
+
+    def test_no_pairs(self):
+        assert monotonicity_probe(identity(1), [(-1.0, 1.0)], n=0) == {
+            "n": 0, "min_pairing": np.inf, "min_modulus_slack": np.inf}

@@ -3,7 +3,7 @@ import pytest
 
 from haraux import bounds, functions, oracle
 from haraux.core import DualPair
-from haraux.operators import GradientOp, SubdifferentialOp, identity
+from haraux.operators import GradientOp, Joca16Op, SubdifferentialOp, identity
 
 
 def _identity_graph(n=1025, box=(-10.0, 10.0)):
@@ -22,6 +22,15 @@ class TestSampleGraph:
         s = oracle.sample_graph(A, [(-1.0, 1.0), (0.0, 2.0)], 5)
         assert s.y.shape == (25, 2)
         assert s.y_star.shape == (25, 2)
+
+    @pytest.mark.parametrize("A, n", [
+        (SubdifferentialOp(functions.burg(1)), oracle.DEFAULT_N_1D),
+        (Joca16Op(2.0, functions._quadratic_scalar()), 129),
+    ])
+    def test_batch_equals_row_loop(self, A, n):
+        s = oracle.sample_graph(A, oracle.default_box(A), n)
+        assert s.y.shape == (n ** A.dim_in, A.dim_in)
+        np.testing.assert_array_equal(s.y_star, np.array([A.apply(y) for y in s.y]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
