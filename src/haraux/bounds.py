@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DomainError, pairing
-from .operators import GradientOp, SubdifferentialOp, identity
+from .operators import GradientOp, identity
 from .solvers import (
     ConvergenceError,
     NoSolutionError,
@@ -85,7 +85,7 @@ def bound_modulus(W, A, p, gamma, modulus=None):
 
 
 def _is_op_of(A, name):
-    return isinstance(A, GradientOp) and all(p.name == name for p in A.f.parts)
+    return A.f is not None and all(p.name == name for p in A.f.parts)
 
 
 def burg_self_bound_closed(x, u, gamma):
@@ -262,7 +262,7 @@ def fy_bound_dispatch(phi, f, p, gamma, method):
     if method == "bregman" and f is None:
         f = phi
     W = GradientOp(f) if method == "pairing" and f is not None else None
-    return _operator_bound(SubdifferentialOp(phi), p, gamma, method, W, f)
+    return _operator_bound(GradientOp(phi), p, gamma, method, W, f)
 
 
 def _operator_bound(A, p, gamma, method, W=None, f=None):
@@ -289,8 +289,3 @@ def _operator_bound(A, p, gamma, method, W=None, f=None):
 def exact_fenchel_young(phi, p):
     """Closed-form L_phi(x, u*) for catalog functions."""
     return phi.fenchel_young(p.x, p.u_star)
-
-
-def fitzpatrick_lower(bound, p):
-    """Lower bound on the Fitzpatrick function: H-bound + <x, u*>."""
-    return bound.value + pairing(p.x, p.u_star)

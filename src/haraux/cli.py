@@ -14,7 +14,7 @@ import numpy as np
 from . import bounds, functions, verification
 from .core import DomainError, DualPair
 from .gauges import kt_gauge_bound, linear_quadratic_kt_instance
-from .operators import AffineOp, GradientOp, Joca16Op, SkewPDOp, SubdifferentialOp
+from .operators import AffineOp, GradientOp, Joca16Op, SkewPDOp
 from .oracle import DEFAULT_SEED
 from .solvers import ConvergenceError, NoSolutionError, UnsupportedOperatorError
 
@@ -79,9 +79,7 @@ def _load_matrix(path):
 def _parse_operator(spec, dim):
     kind, _, rest = spec.partition(":")
     if kind in ("grad", "subdiff"):
-        f = functions.from_name(rest, dim)
-        cls = GradientOp if kind == "grad" else SubdifferentialOp
-        return cls(f)
+        return GradientOp(functions.from_name(rest, dim))
     if kind == "affine":
         return AffineOp(_load_matrix(rest))
     if kind == "skew":
@@ -207,7 +205,7 @@ def _bs_panel(gamma):
     for u in (1.0, -1.0):
         for x in xs:
             p = DualPair([x], [u])
-            new = bounds.bound_bregman(fd, SubdifferentialOp(bs), p, gamma)
+            new = bounds.bound_bregman(fd, GradientOp(bs), p, gamma)
             carlier = bounds.bound_carlier_fy(bs, p, gamma)
             exact = bounds.exact_fenchel_young(bs, p)
             rows.append([_fmt(x), _fmt(u), _fmt(new.value), _fmt(carlier.value),

@@ -17,7 +17,6 @@ from .operators import (
     GradientOp,
     MonotoneOperator,
     SkewPDOp,
-    SubdifferentialOp,
     UniformModulus,
 )
 from .bounds import _finalize, _pairing_value
@@ -116,9 +115,9 @@ def fr_gauge_bound(f, g_star, phi, psi_star, L, gamma, x, y_star):
         raise ValueError("gamma must be positive")
 
     comp_x, zx, diag_x = _pairing_value(
-        GradientOp(f), SubdifferentialOp(phi), x, -(L.T @ y_star), gamma)
+        GradientOp(f), GradientOp(phi), x, -(L.T @ y_star), gamma)
     comp_y, zy, diag_y = _pairing_value(
-        GradientOp(g_star), SubdifferentialOp(psi_star), y_star, L @ x, gamma)
+        GradientOp(g_star), GradientOp(psi_star), y_star, L @ x, gamma)
     diag = {
         "component_primal": max(comp_x, 0.0),
         "component_dual": max(comp_y, 0.0),
@@ -145,10 +144,8 @@ def stacked_inclusion(inst):
             M[:n, :n] = M1
             M[n:, n:] = M2
             return AffineOp(M, np.concatenate([b1, b2]), check=False)
-        if isinstance(op1, GradientOp) and isinstance(op2, GradientOp):
-            parts = list(op1.f.parts) + list(op2.f.parts)
-            cls = SubdifferentialOp if isinstance(op1, SubdifferentialOp) else GradientOp
-            return cls(SeparableFunction(parts))
+        if op1.f is not None and op2.f is not None:
+            return GradientOp(SeparableFunction(list(op1.f.parts) + list(op2.f.parts)))
         raise TypeError("can only stack affine or separable-gradient blocks")
 
     return InclusionInstance(

@@ -67,20 +67,29 @@ def _rows(Y, dim):
 
 
 class MonotoneOperator:
-    """Base class; subclasses implement apply(x) as a single-valued selection.
+    """Base class of the operator protocol, which the solvers, bounds,
+    gauges and oracle read without knowing the concrete class:
 
-    ``apply_rows(Y)`` applies the operator to each row of a (k, dim_in)
-    batch; the base class loops over the rows, and the operators the graph
-    oracle samples (``GradientOp``, ``Joca16Op``) evaluate the batch in one
-    array expression.
-
-    Two optional structure queries let the solvers pick a route without
-    knowing the concrete class: ``separable_terms()`` for operators that
-    decouple coordinatewise and ``as_affine()`` for affine maps.
+    - ``apply(x)``: a single-valued selection at x, which subclasses
+      implement; ``apply_rows(Y)`` applies it to each row of a
+      (k, dim_in) batch. The base class loops over the rows, and the
+      operators the graph oracle samples (``GradientOp``, ``Joca16Op``)
+      evaluate the batch in one array expression.
+    - ``dim_in``: the dimension N of the space the operator acts on.
+    - ``separable_terms()``: a SeparableTerms record when the operator
+      decouples coordinatewise, else None.
+    - ``as_affine()``: (M, b) when the operator is affine, else None.
+    - ``domain()``: the open box (lo, hi) of the operator's domain, two
+      arrays of N extended-real ends; R^N by default.
+    - ``jacobian(z)``: the N x N Jacobian at z, or None when the operator
+      gives none; by default the matrix of ``as_affine()``.
+    - ``f``: the separable function the operator is the gradient of, or
+      None.
     """
 
     dim_in = None
     modulus = None
+    f = None
 
     def apply(self, x):
         raise NotImplementedError
@@ -105,24 +114,33 @@ class MonotoneOperator:
         """(M, b) with apply(x) = M x + b, or None when not affine."""
         return None
 
+    def domain(self):
+        """(lo, hi): the domain is the open box of the intervals (lo[i], hi[i]).
+
+        The arrays may be the operator's own; callers do not write to them."""
+        return np.full(self.dim_in, -INF), np.full(self.dim_in, INF)
+
+    def jacobian(self, z):
+        """The Jacobian at z, or None when the operator gives none."""
+        affine = self.as_affine()
+        return None if affine is None else affine[0]
+
 
 @dataclass(frozen=True)
 class SeparableTerms:
     """An operator that decouples coordinatewise, as whole-vector forms.
 
     ``value(z)`` and ``deriv(z)`` evaluate each coordinate's term and its
-    derivative at the entries of z, which lie in the open intervals
-    (lo, hi); ``inverse(s)`` inverts ``value`` on the open intervals
+    derivative at the entries of z, which lie in the operator's
+    ``domain()``; ``inverse(s)`` inverts ``value`` on the open intervals
     (inv_lo, inv_hi). ``deriv`` is None when a term has no derivative,
     and ``inverse`` with its intervals when a term has no closed-form
     inverse. ``term(i)`` is coordinate i as float callables: (value,
-    derivative, open interval, inverse, inverse interval).
+    derivative, inverse, inverse interval).
     """
 
     value: callable
     deriv: callable
-    lo: np.ndarray
-    hi: np.ndarray
     term: callable
     inverse: callable = None
     inv_lo: np.ndarray = None
@@ -134,21 +152,20 @@ def _linear_terms(m, c):
 
     def term(i):
         mi, ci = float(m[i]), float(c[i])
-        return lambda z: mi * z + ci, lambda z: mi, (-INF, INF), None, None
+        return lambda z: mi * z + ci, lambda z: mi, None, None
 
-    n = m.shape[0]
-    return SeparableTerms(value=lambda z: m * z + c, deriv=lambda z: m,
-                          lo=np.full(n, -INF), hi=np.full(n, INF), term=term)
+    return SeparableTerms(value=lambda z: m * z + c, deriv=lambda z: m, term=term)
 
 
 def _part_term(p):
-    return p.deriv, p.deriv2, p.dom, p.deriv_inv, p.conj_dom
+    return p.deriv, p.deriv2, p.deriv_inv, p.conj_dom
 
 
 class GradientOp(MonotoneOperator):
-    """Gradient of a separable function, single-valued on the interior."""
+    """Gradient of a separable function, single-valued on the interior.
 
-    tag = "grad"
+    A subdifferential of a catalog function is this same operator, its
+    smooth-interior selection; ``SubdifferentialOp`` names it."""
 
     def __init__(self, f, modulus=None):
         if not isinstance(f, SeparableFunction):
@@ -165,29 +182,32 @@ class GradientOp(MonotoneOperator):
 
     def separable_terms(self):
         f = self.f
-        has_deriv2 = all(p.deriv2 is not None for p, _ in f.groups)
         return SeparableTerms(
             value=partial(f._evaluate, "deriv"),
-            deriv=partial(f._evaluate, "deriv2") if has_deriv2 else None,
-            lo=f.dom_lo,
-            hi=f.dom_hi,
+            deriv=partial(f._evaluate, "deriv2") if self._has_deriv2() else None,
             term=lambda i: _part_term(f.parts[i]),
             inverse=partial(f._evaluate, "deriv_inv"),
             inv_lo=f.conj_lo,
             inv_hi=f.conj_hi,
         )
 
+    def _has_deriv2(self):
+        return all(p.deriv2 is not None for p, _ in self.f.groups)
 
-class SubdifferentialOp(GradientOp):
-    """Subdifferential exposed through its smooth-interior selection."""
+    def domain(self):
+        return self.f.dom_lo, self.f.dom_hi
 
-    tag = "subdiff"
+    def jacobian(self, z):
+        if not self._has_deriv2():
+            return None
+        return np.diag(self.f._evaluate("deriv2", z))
+
+
+SubdifferentialOp = GradientOp
 
 
 class AffineOp(MonotoneOperator):
     """x -> M x + b with positive-semidefinite symmetric part."""
-
-    tag = "affine"
 
     def __init__(self, M, b=None, modulus=None, check=True):
         M = np.atleast_2d(np.asarray(M, dtype=float))
@@ -235,8 +255,6 @@ class DiagonalOp(MonotoneOperator):
 
     Monotone by construction once d >= 0, which is checked in O(dim)."""
 
-    tag = "diagonal"
-
     def __init__(self, d, b=None, modulus=None):
         d = as_vector(d)
         b = np.zeros(d.shape[0]) if b is None else as_vector(b)
@@ -278,8 +296,6 @@ class Joca16Op(MonotoneOperator):
     interior grid points of the domain (clipped to [-10, 10]).
     """
 
-    tag = "joca16"
-
     def __init__(self, beta, psi):
         if beta <= 0:
             raise ValueError("beta must be positive")
@@ -298,6 +314,7 @@ class Joca16Op(MonotoneOperator):
         self.beta = beta
         self.psi = psi
         self.dim_in = 2
+        self._box = np.full(2, lo), np.full(2, hi)
 
     def apply(self, x):
         x = as_vector(x)
@@ -310,6 +327,17 @@ class Joca16Op(MonotoneOperator):
         Y = _rows(Y, self.dim_in)
         self._check_domain(Y)
         return np.column_stack(self._map(Y[:, 0], Y[:, 1], self.psi.arrays.deriv))
+
+    def domain(self):
+        return self._box
+
+    def jacobian(self, z):
+        if self.psi.deriv2 is None:
+            return None
+        return np.array([
+            [self.beta - self.psi.deriv2(z[0]), -1.0],
+            [1.0, self.beta - self.psi.deriv2(z[1])],
+        ])
 
     def _check_domain(self, x):
         lo, hi = self.psi.dom
@@ -324,8 +352,6 @@ class Joca16Op(MonotoneOperator):
 
 class SkewPDOp(MonotoneOperator):
     """Primal-dual coupling (x, y*) -> (L^T y*, -L x); skew, hence monotone."""
-
-    tag = "skew"
 
     def __init__(self, L):
         L = np.atleast_2d(np.asarray(L, dtype=float))

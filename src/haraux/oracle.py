@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INF, as_vector
+from .core import as_vector
 
 DEFAULT_SEED = 0x48415241
 # Dense-grid defaults; escalation doubles n_per_dim up to the cap.
@@ -27,23 +27,18 @@ class GraphSample:
 
     y: np.ndarray
     y_star: np.ndarray
-    source: str
     box: list
     n_per_dim: int
     operator: object = None
 
 
 def default_box(A):
-    """Operator domain (the intervals of its separable terms, else R^N)
-    intersected with [-10, 10]^N, shrunk off open boundaries."""
-    terms = A.separable_terms()
-    if terms is None:
-        intervals = [(-INF, INF)] * A.dim_in
-    else:
-        intervals = zip(terms.lo.tolist(), terms.hi.tolist())
+    """Operator domain intersected with [-10, 10]^N, shrunk off open
+    boundaries."""
+    lo, hi = A.domain()
     return [
-        (max(lo, -_BOX_CLIP) + _BOX_SHRINK, min(hi, _BOX_CLIP) - _BOX_SHRINK)
-        for lo, hi in intervals
+        (max(a, -_BOX_CLIP) + _BOX_SHRINK, min(b, _BOX_CLIP) - _BOX_SHRINK)
+        for a, b in zip(lo.tolist(), hi.tolist())
     ]
 
 
@@ -61,7 +56,6 @@ def sample_graph(A, box, n_per_dim):
     return GraphSample(
         y=y,
         y_star=y_star,
-        source=getattr(A, "tag", type(A).__name__),
         box=box,
         n_per_dim=n_per_dim,
         operator=A,

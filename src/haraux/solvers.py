@@ -1,6 +1,16 @@
 """Root-finding machinery for resolvents (W + gamma*A)^{-1}, proximity
 operators, Bregman proxes, the Lambert W function and warped resolvents.
 
+solve_resolvent reads only the operator protocol of MonotoneOperator and
+takes the first route that fits the pair (W, A), on the intersection of
+their domains:
+
+1. both affine: one linear solve;
+2. both separable: scalar monotone equations, one per coordinate;
+3. otherwise, when both operators give Jacobians (a non-diagonal affine
+   kernel, a gradient with second derivatives, the R^2 rotation example):
+   damped Newton on W.jacobian + gamma*A.jacobian.
+
 Scalar inclusions are solved by guaranteed sign-change bracketing followed
 by a safeguarded Newton/bisection loop; strict monotonicity of W + gamma*A
 makes the bracketing sound. Separable problems with at least
@@ -15,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, as_vector
-from .operators import GradientOp, Joca16Op, MonotoneOperator, SubdifferentialOp
+from .operators import GradientOp, MonotoneOperator
 
 # Open domains are shrunk by this much before bracketing, so the solver
 # never evaluates a barrier at (or across) its singularity.
@@ -290,24 +300,20 @@ def solve_increasing_elementwise(g, dg, lo, hi, target, tol, x0=None):
     return root
 
 
-def _intersect(ivl1, ivl2):
-    lo = max(ivl1[0], ivl2[0])
-    hi = min(ivl1[1], ivl2[1])
-    if lo >= hi:
-        raise NoSolutionError("operator domains have empty intersection")
-    return lo, hi
-
-
 def solve_resolvent(problem):
-    """Solve W(z) + gamma*A(z) = rhs for the catalog operator classes.
+    """Solve W(z) + gamma*A(z) = rhs on the intersection of the domains.
 
-    Affine pairs reduce to a linear system; separable pairs decouple into
-    scalar monotone equations; the R^2 rotation example is handled by
-    damped Newton. The output is re-verified by substitution against the
-    residual contract.
+    The routes, in order: an affine pair is one linear solve; a pair that
+    both decouple coordinatewise is scalar monotone equations; any other
+    pair whose operators both give Jacobians is damped Newton. The output
+    is re-verified by substitution against the residual contract.
     """
     W, A, gamma, rhs = problem.W, problem.A, problem.gamma, problem.rhs
     tol = _ATOL * (1.0 + float(np.max(np.abs(rhs))))
+    (w_lo, w_hi), (a_lo, a_hi) = W.domain(), A.domain()
+    lo, hi = np.maximum(w_lo, a_lo), np.minimum(w_hi, a_hi)
+    if (lo >= hi).any():
+        raise NoSolutionError("operator domains have empty intersection")
 
     # A is asked first so a diagonal W builds no dense matrix when A is
     # not affine.
@@ -316,21 +322,15 @@ def solve_resolvent(problem):
     if w_aff is not None:
         (Mw, bw), (Ma, ba) = w_aff, a_aff
         z = np.linalg.solve(Mw + gamma * Ma, rhs - bw - gamma * ba)
-    elif isinstance(A, Joca16Op):
-        z = _solve_joca16(W, A, gamma, rhs, tol)
     else:
-        wt = W.separable_terms()
-        at = A.separable_terms()
+        wt, at = W.separable_terms(), A.separable_terms()
         if wt is None or at is None:
-            raise UnsupportedOperatorError(
-                f"no resolvent route for {type(W).__name__} + {type(A).__name__}"
-            )
-        if rhs.shape[0] < _ELEMENTWISE_MIN_DIM:
+            z = _solve_newton(W, A, gamma, rhs, tol, lo, hi)
+        elif rhs.shape[0] < _ELEMENTWISE_MIN_DIM:
             z = np.empty_like(rhs)
-            for i in range(rhs.shape[0]):
-                w, dw, wiv, w_inv, w_inv_dom = wt.term(i)
-                a, da, aiv, _, _ = at.term(i)
-                interval = _intersect(wiv, aiv)
+            for i, interval in enumerate(zip(lo.tolist(), hi.tolist())):
+                w, dw, w_inv, w_inv_dom = wt.term(i)
+                a, da, _, _ = at.term(i)
                 g = lambda t, w=w, a=a: w(t) + gamma * a(t)
                 dg = None
                 if dw is not None and da is not None:
@@ -338,7 +338,7 @@ def solve_resolvent(problem):
                 x0 = _initial_guess(w_inv, w_inv_dom, rhs[i], gamma, interval)
                 z[i] = solve_scalar_increasing(g, dg, interval, rhs[i], tol, x0=x0)
         else:
-            z = _solve_separable(wt, at, gamma, rhs, tol)
+            z = _solve_separable(wt, at, gamma, rhs, tol, lo, hi)
 
     res = resolvent_residual(W, A, gamma, z, rhs)
     if res > tol:
@@ -363,13 +363,10 @@ def _initial_guess(inverse, inverse_dom, r, gamma, interval):
     return None
 
 
-def _solve_separable(wt, at, gamma, rhs, tol):
-    """The separable resolvent, all coordinates in one elementwise solve,
-    each started from the kernel term's inverse at r/(1+gamma) when it
-    has one and that lands inside the domain."""
-    lo, hi = np.maximum(wt.lo, at.lo), np.minimum(wt.hi, at.hi)
-    if np.any(lo >= hi):
-        raise NoSolutionError("operator domains have empty intersection")
+def _solve_separable(wt, at, gamma, rhs, tol, lo, hi):
+    """The separable resolvent on the box (lo, hi), all coordinates in one
+    elementwise solve, each started from the kernel term's inverse at
+    r/(1+gamma) when it has one and that lands inside the box."""
     g = lambda z: wt.value(z) + gamma * at.value(z)
     dg = None
     if wt.deriv is not None and at.deriv is not None:
@@ -391,59 +388,40 @@ def _solve_separable(wt, at, gamma, rhs, tol):
     return solve_increasing_elementwise(g, dg, lo, hi, rhs, tol, x0)
 
 
-def _solve_joca16(W, A, gamma, rhs, tol):
-    beta, psi = A.beta, A.psi
-
-    # The kernel Jacobian is its matrix when W is affine, else the
-    # diagonal of its terms' second derivatives.
-    w_aff = W.as_affine()
-    if w_aff is None:
-        w_terms = W.separable_terms()
-        if w_terms is None:
-            raise UnsupportedOperatorError("unsupported kernel for the R^2 example")
-        if w_terms.deriv is None:
-            raise UnsupportedOperatorError("kernel parts need second derivatives")
-    if psi.deriv2 is None:
-        raise UnsupportedOperatorError("psi needs a second derivative")
+def _solve_newton(W, A, gamma, rhs, tol, lo, hi):
+    """Damped Newton on W(z) + gamma*A(z) = rhs with the Jacobian
+    W.jacobian + gamma*A.jacobian, started at the scalar solver's default
+    start of each interval of the box (lo, hi) and kept inside it."""
 
     def F(z):
         return W.apply(z) + gamma * A.apply(z) - rhs
 
-    def J(z):
-        JA = np.array(
-            [
-                [beta - psi.deriv2(z[0]), -1.0],
-                [1.0, beta - psi.deriv2(z[1])],
-            ]
-        )
-        if w_aff is not None:
-            JW = w_aff[0]
-        else:
-            JW = np.diag(w_terms.deriv(z))
-        return JW + gamma * JA
-
-    # Damped Newton from a domain-interior start.
-    lo, hi = _shrunk(psi.dom)
-    z = np.array([min(max(0.0, lo + 1e-3), hi - 1e-3)] * 2) if np.isfinite(lo) and np.isfinite(hi) else np.zeros(2)
+    lo, hi = _shrunk_arrays(lo, hi, rhs.shape[0])
+    z = np.full(rhs.shape[0], np.nan)
+    _default_starts(z, lo, hi)
     fz = F(z)
     for _ in range(_MAX_ITER):
+        jw, ja = W.jacobian(z), A.jacobian(z)
+        if jw is None or ja is None:
+            raise UnsupportedOperatorError(
+                f"no resolvent route for {type(W).__name__} + {type(A).__name__}: "
+                "not affine, not separable, and without a Jacobian"
+            )
         if float(np.max(np.abs(fz))) <= tol:
             return z
-        step = np.linalg.solve(J(z), fz)
+        step = np.linalg.solve(jw + gamma * ja, fz)
         t = 1.0
         while t > 1e-12:
             z_new = z - t * step
-            if (not np.isfinite(lo) or np.all(z_new > lo)) and (
-                not np.isfinite(hi) or np.all(z_new < hi)
-            ):
+            if np.all((lo < z_new) & (z_new < hi)):
                 fz_new = F(z_new)
                 if np.linalg.norm(fz_new) < np.linalg.norm(fz):
                     z, fz = z_new, fz_new
                     break
             t *= 0.5
         else:
-            raise ConvergenceError("damped Newton stalled on the R^2 example")
-    raise ConvergenceError("iteration budget exhausted on the R^2 example")
+            raise ConvergenceError("damped Newton stalled")
+    raise ConvergenceError("iteration budget exhausted in damped Newton")
 
 
 def resolvent_residual(W, A, gamma, z, rhs):
@@ -507,7 +485,7 @@ def bregman_prox(f, phi, gamma, s):
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     s = as_vector(s)
-    W, A = GradientOp(f), SubdifferentialOp(phi)
+    W, A = GradientOp(f), GradientOp(phi)
     if W.dim_in != A.dim_in or s.shape[0] != W.dim_in:
         raise DomainError("dimension mismatch in bregman_prox")
     return solve_resolvent(ResolventProblem(W, A, gamma, s))

@@ -14,7 +14,6 @@ from .operators import (
     GradientOp,
     Joca16Op,
     SkewPDOp,
-    SubdifferentialOp,
     identity,
     monotonicity_probe,
 )
@@ -139,7 +138,7 @@ def _solver_checks(rng, rows, n=200):
         worst_res = max(
             worst_res,
             solvers.resolvent_residual(
-                GradientOp(burg), SubdifferentialOp(burg), gamma, z, rhs
+                GradientOp(burg), GradientOp(burg), gamma, z, rhs
             )
             / (1.0 + float(np.max(np.abs(rhs)))),
         )
@@ -163,7 +162,7 @@ def _solver_checks(rng, rows, n=200):
 
     # Warped resolvent with W = Id equals the prox route.
     quad = functions.quadratic(2)
-    A = SubdifferentialOp(functions.quadratic(2))
+    A = GradientOp(functions.quadratic(2))
     B = GradientOp(quad)
     worst_warp = 0.0
     for _ in range(20):
@@ -206,7 +205,7 @@ def _bound_checks(rng, rows, n=300):
     burg = functions.burg()
     for _ in range(n):
         p = DualPair(_sample(rng, (0.1, 5.0), 1), _sample(rng, (-5.0, -0.1), 1))
-        b = bounds.bound_bregman(burg, SubdifferentialOp(burg), p, 1.0)
+        b = bounds.bound_bregman(burg, GradientOp(burg), p, 1.0)
         z = b.z
         direct = (burg.bregman(p.x, z) + burg.bregman(z, p.x)) / 1.0
         worst_closed = max(worst_closed, abs(b.value - direct))

@@ -9,7 +9,6 @@ from haraux.operators import GradientOp, SubdifferentialOp, identity, strong
 from haraux.solvers import NoSolutionError
 from haraux.bounds import (
     FY_METHODS,
-    BoundResult,
     InternalConsistencyError,
     _finalize,
     bound_bregman,
@@ -22,7 +21,6 @@ from haraux.bounds import (
     exact_fenchel_young,
     fermi_dirac_bound_closed,
     fermi_dirac_zeta,
-    fitzpatrick_lower,
     fy_bound_dispatch,
 )
 
@@ -232,11 +230,6 @@ class TestDiagnostics:
         b = fy_bound_dispatch(fd, None, p, 1.0, "legendre_self")
         assert b.z[0] == 0.0
         assert 0.0 <= b.value <= exact_fenchel_young(fd, p)
-
-    def test_fitzpatrick_shift(self):
-        p = DualPair([2.0], [3.0])
-        b = BoundResult(1.5, np.zeros(1), "m", 1.0)
-        assert fitzpatrick_lower(b, p) == pytest.approx(7.5)
 
     def test_residual_reported(self):
         burg = functions.burg()

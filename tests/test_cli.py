@@ -86,6 +86,15 @@ class TestBoundCommand:
         assert err.startswith("error:") and "--f" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_joca16_on_a_half_line_psi(self, capsys):
+        # Damped Newton starts inside (0, inf)^2, the domain of psi = t ln t - t.
+        code, out, err = _run(capsys, ["bound", "--op-a", "joca16:25,boltzmann_shannon",
+                                       "--point", "1,2;29,38"])
+        assert code == 0 and err == ""
+        row = dict(zip(cli.BOUND_HEADER, out.strip().splitlines()[1].split(",")))
+        z = [float(t) for t in row["z"].split(";")]
+        assert z == pytest.approx([1.219451672033063, 1.507342164300244], rel=1e-12)
+
     def test_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "b.csv"
         code, out, _ = _run(capsys, [

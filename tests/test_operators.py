@@ -1,6 +1,10 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import haraux
 from haraux import functions
 from haraux.core import DomainError, pairing
 from haraux.operators import (
@@ -50,18 +54,16 @@ class TestGradientOp:
         op = GradientOp(functions.burg(2))
         np.testing.assert_allclose(op.apply([1.0, 2.0]), [-1.0, -0.5])
         terms = op.separable_terms()
-        _, _, interval, inverse, inverse_dom = terms.term(0)
-        assert interval == (0.0, np.inf)
+        _, _, inverse, inverse_dom = terms.term(0)
         assert inverse(-0.5) == 2.0 and inverse_dom == (-np.inf, 0.0)
         np.testing.assert_array_equal(terms.value(np.array([1.0, 2.0])), [-1.0, -0.5])
         np.testing.assert_array_equal(terms.inverse(np.array([-0.5, -2.0])), [2.0, 0.5])
-        assert (terms.lo.tolist(), terms.hi.tolist()) == ([0.0] * 2, [np.inf] * 2)
+        lo, hi = op.domain()
+        assert (lo.tolist(), hi.tolist()) == ([0.0] * 2, [np.inf] * 2)
         assert (terms.inv_lo.tolist(), terms.inv_hi.tolist()) == ([-np.inf] * 2, [0.0] * 2)
 
-    def test_subdifferential_tag(self):
-        op = SubdifferentialOp(functions.quadratic())
-        assert op.tag == "subdiff"
-        assert isinstance(op, GradientOp)
+    def test_subdifferential_alias(self):
+        assert SubdifferentialOp is GradientOp
 
     def test_monotone_on_samples(self, rng):
         for name, box in [("burg", (0.1, 5.0)), ("fermi_dirac", (0.05, 0.95))]:
@@ -129,18 +131,20 @@ class TestDiagonalOp:
         np.testing.assert_array_equal(M, np.diag([2.0, 0.5]))
         np.testing.assert_array_equal(b, [1.0, -1.0])
         terms = diag.separable_terms()
-        v, dv, ivl, inv, inv_dom = terms.term(0)
-        assert (v(3.0), dv(3.0), ivl) == (7.0, 2.0, (-np.inf, np.inf))
+        v, dv, inv, inv_dom = terms.term(0)
+        assert (v(3.0), dv(3.0)) == (7.0, 2.0)
+        lo, hi = diag.domain()
+        assert (lo.tolist(), hi.tolist()) == ([-np.inf] * 2, [np.inf] * 2)
         assert inv is None and inv_dom is None  # linear terms give no start
         assert terms.inverse is None
         np.testing.assert_array_equal(terms.value(np.array([3.0, 2.0])), [7.0, 0.0])
         np.testing.assert_array_equal(terms.deriv(np.array([3.0, 2.0])), [2.0, 0.5])
         assert AffineOp([[1.0, 0.5], [0.0, 1.0]]).separable_terms() is None
-        assert AffineOp(np.eye(3)).separable_terms().lo.shape == (3,)
+        assert AffineOp(np.eye(3)).separable_terms() is not None
         grad = GradientOp(functions.burg(2))
         assert grad.as_affine() is None
-        g_terms = grad.separable_terms()
-        assert list(zip(g_terms.lo.tolist(), g_terms.hi.tolist())) == [(0.0, np.inf)] * 2
+        lo, hi = grad.domain()
+        assert list(zip(lo.tolist(), hi.tolist())) == [(0.0, np.inf)] * 2
         assert SkewPDOp(np.eye(1)).separable_terms() is None
 
 
@@ -331,3 +335,26 @@ class TestProbeMatchesLoop:
     def test_no_pairs(self):
         assert monotonicity_probe(identity(1), [(-1.0, 1.0)], n=0) == {
             "n": 0, "min_pairing": np.inf, "min_modulus_slack": np.inf}
+
+
+_OPERATOR_CLASSES = {"GradientOp", "SubdifferentialOp", "Joca16Op", "AffineOp",
+                     "DiagonalOp", "SkewPDOp"}
+
+
+def test_only_operators_module_tests_operator_classes():
+    # The other modules route on the operator protocol (domain, jacobian,
+    # as_affine, separable_terms, f), never on the concrete class.
+    src = pathlib.Path(haraux.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "operators.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                named = {n.id if isinstance(n, ast.Name) else n.attr
+                         for n in ast.walk(node.args[1])
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                if named & _OPERATOR_CLASSES:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

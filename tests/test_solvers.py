@@ -353,6 +353,20 @@ class TestSolveResolvent:
             1 + np.max(np.abs(rhs))
         )
 
+    def test_joca16_without_root_in_the_domain_is_a_convergence_error(self):
+        A = Joca16Op(25.0, functions.boltzmann_shannon(1).parts[0])
+        with pytest.raises(ConvergenceError):
+            solve_resolvent(ResolventProblem(identity(2), A, 1.0, np.array([1.0, 2.0])))
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_non_diagonal_affine_kernel_takes_newton(self, gamma):
+        W = AffineOp([[2.0, 1.0], [0.0, 2.0]])
+        A = GradientOp(functions.burg(2))
+        rhs = np.array([1.0, -3.0])
+        z = solve_resolvent(ResolventProblem(W, A, gamma, rhs))
+        assert np.all(z > 0.0)
+        assert resolvent_residual(W, A, gamma, z, rhs) <= 1e-12 * (1 + 3.0)
+
     @pytest.mark.parametrize("d", [1, 4, 50])
     @pytest.mark.parametrize("kind", ["subdiff:burg", "subdiff:fermi_dirac", "affine"])
     def test_diagonal_identity_matches_dense_kernel(self, d, kind):
