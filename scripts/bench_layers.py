@@ -19,7 +19,9 @@ speed reaches all trees alike. The layers are:
   has n^d points, so it is measured at d = 1 (4096 points), d = 2
   (129 x 129) and d = 10 (2 per axis) only; and, under the key
   ``joca16:quadratic``, the 257 x 257 grid of Joca16Op(2, quadratic), the
-  refined grid of the 2-D oracle certification.
+  refined grid of the 2-D oracle certification;
+- ``run_checks``: the whole verify suite, ``verification.run_checks`` at
+  its default seed; it does not depend on d.
 
 A tree whose solvers have the private ``_ELEMENTWISE_MIN_DIM`` also gets
 the resolvent crossover: the time of the coordinate-by-coordinate loop and
@@ -80,7 +82,7 @@ def measure():
     """The layer costs of the haraux on sys.path, as a dict."""
     import numpy as np
 
-    from haraux import bounds, core, functions, operators, oracle, solvers
+    from haraux import bounds, core, functions, operators, oracle, solvers, verification
     from haraux.core import DualPair
 
     # Spin before the first sample, so it is not taken at a lower clock.
@@ -134,6 +136,8 @@ def measure():
     box = oracle.default_box(A)
     out["sample_graph"]["joca16:quadratic"] = {
         "n_per_dim": 257, "us": time_call(lambda: oracle.sample_graph(A, box, 257))}
+
+    out["run_checks"] = time_call(lambda: verification.run_checks(seed=oracle.DEFAULT_SEED))
 
     if hasattr(solvers, "_ELEMENTWISE_MIN_DIM"):
         out["crossover"] = crossover(solvers, resolvent)

@@ -7,13 +7,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainError, pairing
+from .core import DomainError, DualPair
+from .functions import SeparableFunction
 from .operators import GradientOp, identity
 from .solvers import (
     ConvergenceError,
     NoSolutionError,
     ResolventProblem,
-    prox,
+    _prox,
+    _StackedProblem,
     resolvent_residual,
     solve_resolvent,
     solve_scalar_increasing,
@@ -37,33 +39,62 @@ class BoundResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _finalize(value, z, method, gamma, diagnostics):
+def _clamp(value, method, diagnostics):
+    """value, with floating-point noise below zero clamped to zero and
+    recorded as ``clamped_from``; anything more negative raises."""
     if value < 0.0:
         if value >= -_CLAMP_TOL:
             diagnostics["clamped_from"] = value
-            value = 0.0
-        else:
-            raise InternalConsistencyError(
-                f"{method} bound evaluated to {value:.6e} < -{_CLAMP_TOL}"
-            )
-    return BoundResult(value=value, z=z, method=method, gamma=gamma,
-                       diagnostics=diagnostics)
+            return 0.0
+        raise InternalConsistencyError(
+            f"{method} bound evaluated to {value:.6e} < -{_CLAMP_TOL}"
+        )
+    return value
 
 
-def _kernel_point(W, A, x, u, gamma):
-    """Wx and the auxiliary point z = (W + gamma*A)^{-1}(Wx + gamma*u*)
-    that every kernel bound is read off, with the residual of its
-    resolvent equation as the diagnostics."""
+def _finalize(value, z, method, gamma, diagnostics):
+    return BoundResult(value=_clamp(value, method, diagnostics), z=z, method=method,
+                       gamma=gamma, diagnostics=diagnostics)
+
+
+def _row_sums(terms, rows):
+    """The sums of the per-coordinate terms over each of ``rows`` equal
+    blocks of coordinates.
+
+    Every bound here is a sum over coordinates, so k pairs of R^d are one
+    pair of R^{kd} whose coordinates form k blocks: the public bounds are
+    the case of one block, the batched suite of ``_fy_rows`` the case of k.
+    """
+    return terms.reshape(rows, -1).sum(axis=1)
+
+
+def _kernel_point(W, A, x, u, gamma, rows=1):
+    """Wx, the auxiliary point z = (W + gamma*A)^{-1}(Wx + gamma*u*) that
+    every kernel bound is read off, and the residual of its resolvent
+    equation on each block."""
     wx = W.apply(x)
-    rhs = wx + gamma * u
-    z = solve_resolvent(ResolventProblem(W, A, gamma, rhs))
-    return wx, z, {"residual": resolvent_residual(W, A, gamma, z, rhs)}
+    problem = _StackedProblem(W, A, gamma, wx + gamma * u, rows)
+    z = solve_resolvent(problem)
+    return wx, z, problem.residuals
+
+
+def _pairing_rows(W, A, x, u, gamma, rows=1):
+    """<x - z, Wx - Wz> / gamma of each block, z and the block residuals."""
+    wx, z, residuals = _kernel_point(W, A, x, u, gamma, rows)
+    return _row_sums((x - z) * (wx - W.apply(z)), rows) / gamma, z, residuals
+
+
+def _modulus_rows(W, A, x, u, gamma, modulus, rows=1):
+    """modulus(||x - z||) / gamma of each block, z and the block residuals."""
+    _, z, residuals = _kernel_point(W, A, x, u, gamma, rows)
+    norms = np.linalg.norm((x - z).reshape(rows, -1), axis=1)
+    return np.array([modulus(t) for t in norms.tolist()]) / gamma, z, residuals
 
 
 def _pairing_value(W, A, x, u, gamma):
     """(<x - z, Wx - Wz> / gamma, z, diagnostics) at the auxiliary point z."""
-    wx, z, diag = _kernel_point(W, A, x, u, gamma)
-    return pairing(x - z, wx - W.apply(z)) / gamma, z, diag
+    values, z, residuals = _pairing_rows(W, A, x, u, gamma)
+    return float(values[0]), z, {"residual": float(residuals[0])}
 
 
 def bound_pairing(W, A, p, gamma):
@@ -77,11 +108,10 @@ def bound_modulus(W, A, p, gamma, modulus=None):
     modulus = modulus if modulus is not None else W.modulus
     if modulus is None:
         raise ValueError("no modulus declared for the kernel operator")
-    x = p.x
-    _, z, diag = _kernel_point(W, A, x, p.u_star, gamma)
-    value = modulus(float(np.linalg.norm(x - z))) / gamma
+    values, z, residuals = _modulus_rows(W, A, p.x, p.u_star, gamma, modulus)
     method = "strong" if modulus.kind == "strong" else "modulus"
-    return _finalize(value, z, method, gamma, diag)
+    return _finalize(float(values[0]), z, method, gamma,
+                     {"residual": float(residuals[0])})
 
 
 def _is_op_of(A, name):
@@ -91,16 +121,19 @@ def _is_op_of(A, name):
 def burg_self_bound_closed(x, u, gamma):
     """Closed form of the Bregman bound for the Burg self-pair. The
     resolvent has a solution only where 1 - gamma*x*u* > 0."""
+    terms, z = _burg_self_terms(x, u, gamma)
+    return float(np.sum(terms)), z
+
+
+def _burg_self_terms(x, u, gamma):
+    """The per-coordinate terms of burg_self_bound_closed, and z."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if np.any(1.0 - gamma * x * u <= 0.0):
         raise NoSolutionError("the Burg self-pair resolvent has no solution "
                               "where 1 - gamma*x*u* <= 0")
     z = (1.0 + gamma) * x / (1.0 - gamma * x * u)
-    value = float(
-        np.sum(gamma * (1.0 + x * u) ** 2 / ((1.0 + gamma) * (1.0 - gamma * x * u)))
-    )
-    return value, z
+    return gamma * (1.0 + x * u) ** 2 / ((1.0 + gamma) * (1.0 - gamma * x * u)), z
 
 
 # r = x e^{gamma u} / (1 - x) is formed directly, and the gamma = 1 root
@@ -167,17 +200,40 @@ def _fermi_dirac_root(x, u, gamma):
 
 
 def fermi_dirac_bound_closed(x, u, gamma):
+    terms, zeta = _fermi_dirac_terms(x, u, gamma)
+    return float(np.sum(terms)) / gamma, zeta
+
+
+def _fermi_dirac_terms(x, u, gamma):
+    """The per-coordinate terms of fermi_dirac_bound_closed times gamma,
+    and zeta."""
     x = np.asarray(x, dtype=float)
     zeta, band, log_z, log_1mz = _fermi_dirac_root(x, u, gamma)
+    terms = np.empty_like(zeta)
     xb, zb = x[band], zeta[band]
-    value = float(np.sum((xb - zb) * np.log(xb * (1.0 - zb) / (zb * (1.0 - xb)))))
+    terms[band] = (xb - zb) * np.log(xb * (1.0 - zb) / (zb * (1.0 - xb)))
     if log_z is not None:
         # x - zeta is taken through 1 - zeta when zeta is near 1, so it
         # does not cancel when x is near 1 too.
         xt, zt = x[~band], zeta[~band]
         diff = np.where(zt > 0.5, np.exp(log_1mz) - (1.0 - xt), xt - zt)
-        value += float(np.sum(diff * (np.log(xt) + log_1mz - log_z - np.log1p(-xt))))
-    return value / gamma, zeta
+        terms[~band] = diff * (np.log(xt) + log_1mz - log_z - np.log1p(-xt))
+    return terms, zeta
+
+
+def _bregman_rows(f, A, x, u, gamma, rows=1):
+    """(D_f(x,z) + D_f(z,x)) / gamma of each block, z, the route, and the
+    block residuals of the generic route (None on the closed forms)."""
+    if not f.in_interior(x):
+        raise DomainError("x must lie strictly inside dom f")
+    if f.name == "burg" and _is_op_of(A, "burg"):
+        terms, z = _burg_self_terms(x, u, gamma)
+        return _row_sums(terms, rows), z, "burg_closed", None
+    if f.name == "fermi_dirac" and _is_op_of(A, "boltzmann_shannon"):
+        terms, z = _fermi_dirac_terms(x, u, gamma)
+        return _row_sums(terms, rows) / gamma, z, "fermi_dirac_closed", None
+    values, z, residuals = _pairing_rows(GradientOp(f), A, x, u, gamma, rows)
+    return values, z, "bregman", residuals
 
 
 def bound_bregman(f, A, p, gamma):
@@ -191,45 +247,43 @@ def bound_bregman(f, A, p, gamma):
     closed form standing.
     """
     x, u = p.x, p.u_star
-    if not f.in_interior(x):
-        raise DomainError("x must lie strictly inside dom f")
-    W = GradientOp(f)
-    if f.name == "burg" and _is_op_of(A, "burg"):
-        (value, z), method = burg_self_bound_closed(x, u, gamma), "burg_closed"
-    elif f.name == "fermi_dirac" and _is_op_of(A, "boltzmann_shannon"):
-        (value, z), method = fermi_dirac_bound_closed(x, u, gamma), "fermi_dirac_closed"
+    values, z, method, residuals = _bregman_rows(f, A, x, u, gamma)
+    if residuals is not None:
+        diag = {"residual": float(residuals[0])}
     else:
-        value, z, diag = _pairing_value(W, A, x, u, gamma)
-        diag["near_boundary"] = not f.in_interior(z)
-        return _finalize(value, z, "bregman", gamma, diag)
-
-    rhs = f.gradient(x) + gamma * u
-    diag = {}
-    try:
-        z_num = solve_resolvent(ResolventProblem(W, A, gamma, rhs))
-        diag["solver_z_gap"] = float(np.max(np.abs(z - z_num)))
-    except (NoSolutionError, ConvergenceError) as exc:
-        diag["crosscheck_error"] = f"{type(exc).__name__}: {exc}"
-        z_num = z
-    # Without a cross-check the residual is taken at the closed-form z;
-    # it is +inf when that z is within the boundary tolerance of dom f,
-    # where the gradient is not evaluated.
-    diag["residual"] = (resolvent_residual(W, A, gamma, z_num, rhs)
-                        if f.in_interior(z_num) else math.inf)
+        W = GradientOp(f)
+        rhs = f.gradient(x) + gamma * u
+        diag = {}
+        problem = ResolventProblem(W, A, gamma, rhs)
+        try:
+            z_num = solve_resolvent(problem)
+            diag["solver_z_gap"] = float(np.max(np.abs(z - z_num)))
+            diag["residual"] = float(problem.residuals[0])
+        except (NoSolutionError, ConvergenceError) as exc:
+            diag["crosscheck_error"] = f"{type(exc).__name__}: {exc}"
+            # Without a cross-check the residual is taken at the
+            # closed-form z; it is +inf when that z is within the boundary
+            # tolerance of dom f, where the gradient is not evaluated.
+            diag["residual"] = (resolvent_residual(W, A, gamma, z, rhs)
+                                if f.in_interior(z) else math.inf)
     diag["near_boundary"] = not f.in_interior(z)
-    return _finalize(value, z, method, gamma, diag)
+    return _finalize(float(values[0]), z, method, gamma, diag)
+
+
+def _legendre_self_rows(phi, x, u, gamma, rows=1):
+    """<x - z, grad phi(x) - u*> / (1 + gamma) of each block, and z."""
+    if not phi.in_interior(x):
+        raise DomainError("x must lie strictly inside dom phi")
+    gx = phi.gradient(x)
+    z = phi.grad_conj((gx + gamma * u) / (1.0 + gamma))
+    return _row_sums((x - z) * (gx - u), rows) / (1.0 + gamma), z
 
 
 def bound_legendre_self(phi, p, gamma):
     """<x - z, grad phi(x) - u*> / (1 + gamma) with
     z = grad phi*((grad phi(x) + gamma*u*) / (1 + gamma))."""
-    x, u = p.x, p.u_star
-    if not phi.in_interior(x):
-        raise DomainError("x must lie strictly inside dom phi")
-    gx = phi.gradient(x)
-    z = phi.grad_conj((gx + gamma * u) / (1.0 + gamma))
-    value = pairing(x - z, gx - u) / (1.0 + gamma)
-    return _finalize(value, z, "legendre_self", gamma, {})
+    values, z = _legendre_self_rows(phi, p.x, p.u_star, gamma)
+    return _finalize(float(values[0]), z, "legendre_self", gamma, {})
 
 
 def bound_carlier_haraux(A, p, gamma):
@@ -239,12 +293,18 @@ def bound_carlier_haraux(A, p, gamma):
     return _finalize(value, z, "carlier_haraux", gamma, diag)
 
 
+def _carlier_fy_rows(phi, x, u, gamma, rows=1):
+    """||x - prox_{gamma phi}(x + gamma*u*)||^2 / gamma of each block, and
+    the prox."""
+    z = _prox(phi, gamma, x + gamma * u, rows)
+    d = x - z
+    return _row_sums(d * d, rows) / gamma, z
+
+
 def bound_carlier_fy(phi, p, gamma):
     """Baseline ||x - prox_{gamma phi}(x + gamma*u*)||^2 / gamma."""
-    x, u = p.x, p.u_star
-    z = prox(phi, gamma, x + gamma * u)
-    value = float(np.dot(x - z, x - z)) / gamma
-    return _finalize(value, z, "carlier_fy", gamma, {})
+    values, z = _carlier_fy_rows(phi, p.x, p.u_star, gamma)
+    return _finalize(float(values[0]), z, "carlier_fy", gamma, {})
 
 
 FY_METHODS = ("pairing", "strong", "bregman", "legendre_self", "carlier_fy")
@@ -284,6 +344,42 @@ def _operator_bound(A, p, gamma, method, W=None, f=None):
         f"method {method!r} needs a function phi; an operator A takes "
         "pairing, strong, bregman or carlier_haraux"
     )
+
+
+def _fy_rows(phi, X, U, gamma, method):
+    """fy_bound_dispatch(phi, None, DualPair(X[i], U[i]), gamma, method)
+    for each row i of the (k, d) arrays X and U, evaluated as one pair of
+    R^{kd}: returns the k values and the (k, d) auxiliary points.
+
+    Each row's value is the public bound's per-coordinate terms summed
+    over that row, and is clamped alone. Each row's resolvent or prox is
+    solved to the tolerance of its unbatched call and checked against it.
+    The interior and conjugate-domain tests run once on the whole batch,
+    and an error is the one the first failing row raises at the first
+    stage that fails. Only values and z are formed, so the diagnostics,
+    with the solver cross-check of the closed-form Bregman bounds, are not.
+    """
+    k, d = X.shape
+    if d != phi.dim:
+        raise DomainError(f"rows of dimension {d} for a function of dimension {phi.dim}")
+    big = SeparableFunction(phi.parts * k)
+    p = DualPair(X.ravel(), U.ravel())
+    x, u = p.x, p.u_star
+    if method == "carlier_fy":
+        values, z = _carlier_fy_rows(big, x, u, gamma, k)
+    elif method == "legendre_self":
+        values, z = _legendre_self_rows(big, x, u, gamma, k)
+    elif method == "bregman":
+        values, z, method, _ = _bregman_rows(big, GradientOp(big), x, u, gamma, k)
+    elif method in ("pairing", "strong"):
+        W, A = identity(k * d), GradientOp(big)
+        if method == "pairing":
+            values, z, _ = _pairing_rows(W, A, x, u, gamma, k)
+        else:
+            values, z, _ = _modulus_rows(W, A, x, u, gamma, W.modulus, k)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return np.array([_clamp(v, method, {}) for v in values.tolist()]), z.reshape(k, d)
 
 
 def exact_fenchel_young(phi, p):

@@ -20,7 +20,7 @@ costs less there.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,10 +55,18 @@ class UnsupportedOperatorError(TypeError):
 
 @dataclass(frozen=True)
 class ResolventProblem:
+    """The equation W(z) + gamma*A(z) = rhs. solve_resolvent records the
+    infinity-norm residual of the solution it returns in ``residuals``, one
+    entry per block of coordinates."""
+
     W: MonotoneOperator
     A: MonotoneOperator
     gamma: float
     rhs: np.ndarray
+    residuals: np.ndarray = field(default=None, init=False, compare=False, repr=False)
+    # The coordinates form this many equal blocks, each solved and checked
+    # against the tolerance of its own block of rhs.
+    rows = 1
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -66,6 +74,14 @@ class ResolventProblem:
         object.__setattr__(self, "rhs", as_vector(self.rhs))
         if self.W.dim_in != self.A.dim_in or self.rhs.shape[0] != self.W.dim_in:
             raise ValueError("dimensions of W, A and rhs must agree")
+
+
+@dataclass(frozen=True)
+class _StackedProblem(ResolventProblem):
+    """``rows`` resolvent problems of one dimension stacked as one: each
+    block of coordinates is solved as if alone."""
+
+    rows: int
 
 
 def _shrunk(interval):
@@ -306,10 +322,15 @@ def solve_resolvent(problem):
     The routes, in order: an affine pair is one linear solve; a pair that
     both decouple coordinatewise is scalar monotone equations; any other
     pair whose operators both give Jacobians is damped Newton. The output
-    is re-verified by substitution against the residual contract.
+    is re-verified by substitution against the residual contract, and the
+    residual is recorded in ``problem.residuals``. Each block of a
+    stacked problem is held to the tolerance of its own block of rhs; a
+    failure raises what the lowest failing block would raise alone, once
+    the domains meet.
     """
-    W, A, gamma, rhs = problem.W, problem.A, problem.gamma, problem.rhs
-    tol = _ATOL * (1.0 + float(np.max(np.abs(rhs))))
+    W, A, gamma, rhs, rows = problem.W, problem.A, problem.gamma, problem.rhs, problem.rows
+    tol_rows = _row_tol(rhs, rows)
+    tol = np.repeat(tol_rows, rhs.shape[0] // rows)
     (w_lo, w_hi), (a_lo, a_hi) = W.domain(), A.domain()
     lo, hi = np.maximum(w_lo, a_lo), np.minimum(w_hi, a_hi)
     if (lo >= hi).any():
@@ -328,7 +349,8 @@ def solve_resolvent(problem):
             z = _solve_newton(W, A, gamma, rhs, tol, lo, hi)
         elif rhs.shape[0] < _ELEMENTWISE_MIN_DIM:
             z = np.empty_like(rhs)
-            for i, interval in enumerate(zip(lo.tolist(), hi.tolist())):
+            intervals = zip(lo.tolist(), hi.tolist())
+            for i, (interval, tol_i) in enumerate(zip(intervals, tol.tolist())):
                 w, dw, w_inv, w_inv_dom = wt.term(i)
                 a, da, _, _ = at.term(i)
                 g = lambda t, w=w, a=a: w(t) + gamma * a(t)
@@ -336,16 +358,25 @@ def solve_resolvent(problem):
                 if dw is not None and da is not None:
                     dg = lambda t, dw=dw, da=da: dw(t) + gamma * da(t)
                 x0 = _initial_guess(w_inv, w_inv_dom, rhs[i], gamma, interval)
-                z[i] = solve_scalar_increasing(g, dg, interval, rhs[i], tol, x0=x0)
+                z[i] = solve_scalar_increasing(g, dg, interval, rhs[i], tol_i, x0=x0)
         else:
             z = _solve_separable(wt, at, gamma, rhs, tol, lo, hi)
 
-    res = resolvent_residual(W, A, gamma, z, rhs)
-    if res > tol:
+    res = _row_residuals(W, A, gamma, z, rhs, rows)
+    over = res > tol_rows
+    if over.any():
+        i = np.argmax(over)
         raise ConvergenceError(
-            f"post-hoc residual {res:.3e} exceeds tolerance {tol:.3e}"
+            f"post-hoc residual {res[i]:.3e} exceeds tolerance {tol_rows[i]:.3e}"
         )
+    object.__setattr__(problem, "residuals", res)
     return z
+
+
+def _row_tol(v, rows):
+    """The residual tolerance _ATOL * (1 + max |v_j|) of each of the
+    ``rows`` equal blocks v_j of the vector v."""
+    return _ATOL * (1.0 + np.abs(v).reshape(rows, -1).max(axis=1))
 
 
 def _initial_guess(inverse, inverse_dom, r, gamma, interval):
@@ -391,7 +422,8 @@ def _solve_separable(wt, at, gamma, rhs, tol, lo, hi):
 def _solve_newton(W, A, gamma, rhs, tol, lo, hi):
     """Damped Newton on W(z) + gamma*A(z) = rhs with the Jacobian
     W.jacobian + gamma*A.jacobian, started at the scalar solver's default
-    start of each interval of the box (lo, hi) and kept inside it."""
+    start of each interval of the box (lo, hi) and kept inside it, until
+    each coordinate of the residual is within its entry of tol."""
 
     def F(z):
         return W.apply(z) + gamma * A.apply(z) - rhs
@@ -407,7 +439,7 @@ def _solve_newton(W, A, gamma, rhs, tol, lo, hi):
                 f"no resolvent route for {type(W).__name__} + {type(A).__name__}: "
                 "not affine, not separable, and without a Jacobian"
             )
-        if float(np.max(np.abs(fz))) <= tol:
+        if (np.abs(fz) <= tol).all():
             return z
         step = np.linalg.solve(jw + gamma * ja, fz)
         t = 1.0
@@ -426,7 +458,14 @@ def _solve_newton(W, A, gamma, rhs, tol, lo, hi):
 
 def resolvent_residual(W, A, gamma, z, rhs):
     """Infinity-norm residual of W(z) + gamma*A(z) = rhs."""
-    return float(np.max(np.abs(W.apply(z) + gamma * A.apply(z) - as_vector(rhs))))
+    return float(_row_residuals(W, A, gamma, z, as_vector(rhs), 1)[0])
+
+
+def _row_residuals(W, A, gamma, z, rhs, rows):
+    """The infinity-norm residual of each of ``rows`` equal blocks of
+    W(z) + gamma*A(z) = rhs."""
+    r = np.abs(W.apply(z) + gamma * A.apply(z) - rhs)
+    return r.reshape(rows, -1).max(axis=1)
 
 
 def _prox_part(p, gamma, t, tol=None):
@@ -444,11 +483,14 @@ def _prox_part(p, gamma, t, tol=None):
 
 
 def _prox_part_array(p, gamma, t, tol=None):
-    """_prox_part over an array t: coordinate by coordinate below
-    _ELEMENTWISE_MIN_DIM entries; from there on the array closed form when
-    p carries one, else the generic solve elementwise."""
+    """_prox_part over an array t, with tol None or one tolerance per
+    entry: coordinate by coordinate below _ELEMENTWISE_MIN_DIM entries;
+    from there on the array closed form when p carries one, else the
+    generic solve elementwise."""
     if t.shape[0] < _ELEMENTWISE_MIN_DIM:
-        return np.array([_prox_part(p, gamma, ti, tol) for ti in t.tolist()], dtype=float)
+        tols = [None] * t.shape[0] if tol is None else tol.tolist()
+        return np.array([_prox_part(p, gamma, ti, tol_i)
+                         for ti, tol_i in zip(t.tolist(), tols)], dtype=float)
     if p.prox_fn is not None:
         return p.arrays.prox_fn(t, gamma)
     if tol is None:
@@ -462,16 +504,20 @@ def _prox_part_array(p, gamma, t, tol=None):
 
 def prox(phi, gamma, x):
     """(Id + gamma * d phi)^{-1} x, coordinatewise."""
+    return _prox(phi, gamma, as_vector(x))
+
+
+def _prox(phi, gamma, x, rows=1):
+    """prox at a vector x whose coordinates form ``rows`` equal blocks,
+    each solved to the tolerance of its own block as if alone."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    x = as_vector(x)
     if x.shape[0] != phi.dim:
         raise DomainError("dimension mismatch in prox")
-
-    tol = _ATOL * (1.0 + float(np.max(np.abs(x))))
+    tol = np.repeat(_row_tol(x, rows), x.shape[0] // rows)
     out = np.empty_like(x)
     for p, coords in phi.groups:
-        out[coords] = _prox_part_array(p, gamma, x[coords], tol)
+        out[coords] = _prox_part_array(p, gamma, x[coords], tol[coords])
     return out
 
 

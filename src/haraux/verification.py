@@ -1,7 +1,15 @@
 """Runnable invariant suites backing the `haraux verify` command.
 
 Each check returns a measured worst-case slack against its threshold, so
-the CSV report documents how much margin the library actually has."""
+the CSV report documents how much margin the library actually has.
+
+The bound suite draws its pairs one at a time, then evaluates each
+function x method in one batched call (``bounds._fy_rows``): n pairs of
+R^1 are one pair of R^n, each row solved to the tolerance of its
+unbatched call, checked against it and clamped alone. Its 19 calls
+replace 5700 single-pair bounds, and the whole suite takes about 0.25 s
+instead of 0.93 s on a 2-core x86_64 VM (scripts/bench_layers.py,
+BENCH_verify.json)."""
 
 import math
 
@@ -173,42 +181,46 @@ def _solver_checks(rng, rows, n=200):
     rows.append(_row("solvers", "warped_equals_prox", worst_warp, 1e-10))
 
 
+def _draw_pairs(rng, box, cbox, n):
+    """n pairs (x, u*) of R^1 drawn one at a time, x in box and u* in
+    cbox, as two (n, 1) arrays."""
+    X, U = np.empty((n, 1)), np.empty((n, 1))
+    for i in range(n):
+        X[i], U[i] = _sample(rng, box, 1), _sample(rng, cbox, 1)
+    return X, U
+
+
 def _bound_checks(rng, rows, n=300):
+    # Each function x method is one batched call over the n drawn pairs.
     worst_dom = -np.inf
     worst_zero = 0.0
     worst_chain = -np.inf
     for name in ("burg", "boltzmann_shannon", "quadratic"):
         phi = functions.from_name(name)
-        box = _SAMPLE_BOX[name]
-        cbox = _CONJ_BOX[name]
-        for _ in range(n):
-            p = DualPair(_sample(rng, box, 1), _sample(rng, cbox, 1))
-            exact = bounds.exact_fenchel_young(phi, p)
-            for method in ("carlier_fy", "legendre_self", "bregman"):
-                b = bounds.fy_bound_dispatch(phi, None, p, 1.0, method)
-                worst_dom = max(worst_dom, b.value - exact)
-            # on-graph pair
-            gx = phi.gradient(p.x)
-            pg = DualPair(p.x, gx)
-            worst_zero = max(
-                worst_zero, bounds.fy_bound_dispatch(phi, None, pg, 1.0, "pairing").value
-            )
-            bp = bounds.fy_bound_dispatch(phi, None, p, 1.0, "pairing")
-            bs_ = bounds.fy_bound_dispatch(phi, None, p, 1.0, "strong")
-            worst_chain = max(worst_chain, bs_.value - bp.value)
+        X, U = _draw_pairs(rng, _SAMPLE_BOX[name], _CONJ_BOX[name], n)
+        exact = np.array([bounds.exact_fenchel_young(phi, DualPair(x, u))
+                          for x, u in zip(X, U)])
+        for method in ("carlier_fy", "legendre_self", "bregman"):
+            values, _ = bounds._fy_rows(phi, X, U, 1.0, method)
+            worst_dom = max(worst_dom, float(np.max(values - exact)))
+        # on-graph pairs
+        G = GradientOp(phi).apply_rows(X)
+        on_graph, _ = bounds._fy_rows(phi, X, G, 1.0, "pairing")
+        worst_zero = max(worst_zero, float(np.max(on_graph)))
+        bp, _ = bounds._fy_rows(phi, X, U, 1.0, "pairing")
+        bs_, _ = bounds._fy_rows(phi, X, U, 1.0, "strong")
+        worst_chain = max(worst_chain, float(np.max(bs_ - bp)))
     rows.append(_row("bounds", "dominated_by_exact", worst_dom, 1e-9))
     rows.append(_row("bounds", "graph_pairs_give_zero", worst_zero, 1e-10))
     rows.append(_row("bounds", "strong_below_pairing", worst_chain, 1e-10))
 
     # Closed-form equality of the catalog Bregman bounds.
-    worst_closed = 0.0
     burg = functions.burg()
-    for _ in range(n):
-        p = DualPair(_sample(rng, (0.1, 5.0), 1), _sample(rng, (-5.0, -0.1), 1))
-        b = bounds.bound_bregman(burg, GradientOp(burg), p, 1.0)
-        z = b.z
-        direct = (burg.bregman(p.x, z) + burg.bregman(z, p.x)) / 1.0
-        worst_closed = max(worst_closed, abs(b.value - direct))
+    X, U = _draw_pairs(rng, (0.1, 5.0), (-5.0, -0.1), n)
+    values, Z = bounds._fy_rows(burg, X, U, 1.0, "bregman")
+    direct = np.array([(burg.bregman(x, z) + burg.bregman(z, x)) / 1.0
+                       for x, z in zip(X, Z)])
+    worst_closed = float(np.max(np.abs(values - direct)))
     rows.append(_row("bounds", "burg_closed_form_equality", worst_closed, 1e-10))
 
 
