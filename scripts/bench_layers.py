@@ -21,7 +21,10 @@ speed reaches all trees alike. The layers are:
   ``joca16:quadratic``, the 257 x 257 grid of Joca16Op(2, quadratic), the
   refined grid of the 2-D oracle certification;
 - ``run_checks``: the whole verify suite, ``verification.run_checks`` at
-  its default seed; it does not depend on d.
+  its default seed; it does not depend on d;
+- ``figure1_cli``: the whole ``haraux figure1 --format csv`` command,
+  ``cli.main`` writing the four panel CSVs to a temporary directory; it
+  does not depend on d.
 
 A tree whose solvers have the private ``_ELEMENTWISE_MIN_DIM`` also gets
 the resolvent crossover: the time of the coordinate-by-coordinate loop and
@@ -41,6 +44,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from time import perf_counter
 
 DIMS = (1, 10, 100, 1000)
@@ -82,7 +86,7 @@ def measure():
     """The layer costs of the haraux on sys.path, as a dict."""
     import numpy as np
 
-    from haraux import bounds, core, functions, operators, oracle, solvers, verification
+    from haraux import bounds, cli, core, functions, operators, oracle, solvers, verification
     from haraux.core import DualPair
 
     # Spin before the first sample, so it is not taken at a lower clock.
@@ -138,6 +142,9 @@ def measure():
         "n_per_dim": 257, "us": time_call(lambda: oracle.sample_graph(A, box, 257))}
 
     out["run_checks"] = time_call(lambda: verification.run_checks(seed=oracle.DEFAULT_SEED))
+    with tempfile.TemporaryDirectory() as tmp:
+        out["figure1_cli"] = time_call(
+            lambda: cli.main(["figure1", "--format", "csv", "--out", tmp]))
 
     if hasattr(solvers, "_ELEMENTWISE_MIN_DIM"):
         out["crossover"] = crossover(solvers, resolvent)

@@ -346,9 +346,9 @@ def _operator_bound(A, p, gamma, method, W=None, f=None):
     )
 
 
-def _fy_rows(phi, X, U, gamma, method):
-    """fy_bound_dispatch(phi, None, DualPair(X[i], U[i]), gamma, method)
-    for each row i of the (k, d) arrays X and U, evaluated as one pair of
+def _fy_rows(phi, X, U, gamma, method, f=None):
+    """fy_bound_dispatch(phi, f, DualPair(X[i], U[i]), gamma, method) for
+    each row i of the (k, d) arrays X and U, evaluated as one pair of
     R^{kd}: returns the k values and the (k, d) auxiliary points.
 
     Each row's value is the public bound's per-coordinate terms summed
@@ -360,9 +360,11 @@ def _fy_rows(phi, X, U, gamma, method):
     with the solver cross-check of the closed-form Bregman bounds, are not.
     """
     k, d = X.shape
-    if d != phi.dim:
-        raise DomainError(f"rows of dimension {d} for a function of dimension {phi.dim}")
+    for g in (phi, f):
+        if g is not None and g.dim != d:
+            raise DomainError(f"rows of dimension {d} for a function of dimension {g.dim}")
     big = SeparableFunction(phi.parts * k)
+    kernel = SeparableFunction(f.parts * k) if f is not None else None
     p = DualPair(X.ravel(), U.ravel())
     x, u = p.x, p.u_star
     if method == "carlier_fy":
@@ -370,9 +372,11 @@ def _fy_rows(phi, X, U, gamma, method):
     elif method == "legendre_self":
         values, z = _legendre_self_rows(big, x, u, gamma, k)
     elif method == "bregman":
-        values, z, method, _ = _bregman_rows(big, GradientOp(big), x, u, gamma, k)
+        kernel = kernel if kernel is not None else big
+        values, z, method, _ = _bregman_rows(kernel, GradientOp(big), x, u, gamma, k)
     elif method in ("pairing", "strong"):
-        W, A = identity(k * d), GradientOp(big)
+        A = GradientOp(big)
+        W = GradientOp(kernel) if method == "pairing" and kernel is not None else identity(k * d)
         if method == "pairing":
             values, z, _ = _pairing_rows(W, A, x, u, gamma, k)
         else:

@@ -10,7 +10,10 @@ takes its inverse derivative and conjugate from the prox of psi.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import cycle
 from types import SimpleNamespace
 
 import numpy as np
@@ -236,15 +239,35 @@ class SeparableFunction:
         """phi(x) + phi*(u*) - <x, u*>, always >= 0."""
         x = _check_dim(x, self.dim)
         u = _check_dim(u_star, self.dim)
-        fx = self(x)
-        fu = self.conjugate_eval(u)
-        if fx == INF or fu == INF:
-            return INF
-        return fx + fu - pairing(x, u)
+        return self._fenchel_young_rows(x[None], u[None])[0]
+
+    def _fenchel_young_rows(self, X, U):
+        """fenchel_young at each row of the checked (k, dim) arrays X and
+        U, as a list of k floats. Each row is the xadd of the parts' values
+        plus the xadd of their conjugate values, minus the row's dot
+        product: +inf when either sum is."""
+        fx = _part_sums(self.parts, "eval", X)
+        fu = _part_sums(self.parts, "eval_conj", U)
+        # Row i of the stacked product is np.dot(X[i], U[i]).
+        dots = np.matmul(X[:, None, :], U[:, :, None])[:, 0, 0].tolist()
+        return [INF if a == INF or b == INF else a + b - c
+                for a, b, c in zip(fx, fu, dots)]
 
     def conjugate_function(self):
         conjugates = {id(p): p.conjugate() for p, _ in self.groups}
         return SeparableFunction([conjugates[id(p)] for p in self.parts])
+
+
+def _part_sums(parts, method, X):
+    """xadd(*(getattr(p, method)(t) for p, t in zip(parts, row))) for each
+    row of X: the same additions in the same order."""
+    k, d = X.shape
+    values = list(map(getattr(ScalarLegendre, method), cycle(parts), X.ravel().tolist()))
+    totals = [reduce(operator.add, values[i:i + d], 0.0) for i in range(0, k * d, d)]
+    # +inf absorbs finite terms; a NaN or -inf term leaves a NaN or -inf total.
+    if not all(t > -INF for t in totals):
+        raise ValueError("NaN or -inf in extended-real sum")
+    return totals
 
 
 def _envelope(p, s):

@@ -7,9 +7,11 @@ The bound suite draws its pairs one at a time, then evaluates each
 function x method in one batched call (``bounds._fy_rows``): n pairs of
 R^1 are one pair of R^n, each row solved to the tolerance of its
 unbatched call, checked against it and clamped alone. Its 19 calls
-replace 5700 single-pair bounds, and the whole suite takes about 0.25 s
-instead of 0.93 s on a 2-core x86_64 VM (scripts/bench_layers.py,
-BENCH_verify.json)."""
+replace 5700 single-pair bounds, and the exact values of each function
+are one call of its rows kernel. The whole suite takes about 0.29 s on
+a 2-core x86_64 VM: 0.35 s with one exact value per pair, 0.93 s with
+one call per bound as well (scripts/bench_layers.py, BENCH_verify.json,
+BENCH_figure1.json)."""
 
 import math
 
@@ -191,15 +193,15 @@ def _draw_pairs(rng, box, cbox, n):
 
 
 def _bound_checks(rng, rows, n=300):
-    # Each function x method is one batched call over the n drawn pairs.
+    # Each function x method is one batched call over the n drawn pairs,
+    # and the exact values of a function are one call of its rows kernel.
     worst_dom = -np.inf
     worst_zero = 0.0
     worst_chain = -np.inf
     for name in ("burg", "boltzmann_shannon", "quadratic"):
         phi = functions.from_name(name)
         X, U = _draw_pairs(rng, _SAMPLE_BOX[name], _CONJ_BOX[name], n)
-        exact = np.array([bounds.exact_fenchel_young(phi, DualPair(x, u))
-                          for x, u in zip(X, U)])
+        exact = np.array(phi._fenchel_young_rows(X, U))
         for method in ("carlier_fy", "legendre_self", "bregman"):
             values, _ = bounds._fy_rows(phi, X, U, 1.0, method)
             worst_dom = max(worst_dom, float(np.max(values - exact)))

@@ -225,6 +225,15 @@ class TestFigureCommand:
             text = svg.read_text()
             assert text.startswith("<svg") and "polyline" in text
 
+    def test_csv_bytes_equal_the_reference(self, figure1_dir):
+        # The committed reference of the benchmark gate, read, never written.
+        ref_dir = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                               "reference", "figure1")
+        for name in ("burg_gamma0.1", "burg_gamma1", "burg_gamma10",
+                     "boltzmann_shannon_gamma1"):
+            with open(os.path.join(ref_dir, f"{name}.csv"), "rb") as fh:
+                assert (figure1_dir / f"{name}.csv").read_bytes() == fh.read(), name
+
     def test_csv_only_format(self, capsys, tmp_path):
         out = tmp_path / "fig"
         code, _, _ = _run(capsys, [

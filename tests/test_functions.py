@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haraux import functions, solvers
-from haraux.core import INF, DomainError
+from haraux.core import INF, DomainError, pairing
 from haraux.operators import GradientOp
 
 # Interior sampling boxes for each catalog function and its conjugate.
@@ -164,6 +164,59 @@ class TestSeparable:
         np.testing.assert_array_equal(GradientOp(f).apply_rows(X), X - 1.0)
         # No closed-form prox: z + gamma (z - 1) = x, solved elementwise.
         np.testing.assert_allclose(solvers.prox(f, 2.0, x), (x + 2.0) / 3.0, atol=1e-11)
+
+
+class TestFenchelYoungRows:
+    """The per-row kernel behind ``fenchel_young`` and the exact column of
+    the figure panels."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name, d", [(n, d) for n in [*sorted(BOXES), "quad_plus:burg"]
+                                         for d in (1, 3)] + [("mixed", 3)])
+    def test_rows_equal_the_one_pair_values_bit_for_bit(self, name, d):
+        rng = np.random.default_rng(20251018)
+        if name == "mixed":
+            phi = functions.SeparableFunction(
+                [functions.from_name(n).parts[0] for n in ("burg", "boltzmann_shannon",
+                                                           "fermi_dirac")])
+        else:
+            phi = functions.from_name(name, d)
+        boxes = [BOXES[p.name.removeprefix("quad_plus:")] for p in phi.parts]
+        X = np.column_stack([rng.uniform(*box, 25) for box, _ in boxes])
+        U = np.column_stack([rng.uniform(*box, 25) for _, box in boxes])
+        rows = phi._fenchel_young_rows(X, U)
+        # Each row is the definition: phi(x) + phi*(u*) - <x, u*>, each sum
+        # an xadd over the parts in coordinate order.
+        assert rows == [phi(x) + phi.conjugate_eval(u) - pairing(x, u) for x, u in zip(X, U)]
+        assert rows == [phi.fenchel_young(x, u) for x, u in zip(X, U)]
+
+    def test_a_row_outside_the_conjugate_domain_is_inf(self):
+        burg = functions.burg()
+        X = np.array([[1.0], [2.0], [0.5]])
+        U = np.array([[-1.0], [0.5], [-3.0]])
+        rows = burg._fenchel_young_rows(X, U)
+        assert rows[1] == INF and math.isfinite(rows[0]) and math.isfinite(rows[2])
+        assert rows == [burg.fenchel_young(x, u) for x, u in zip(X, U)]
+
+    def test_a_row_outside_the_domain_is_inf(self):
+        bs = functions.boltzmann_shannon(2)
+        X = np.array([[1.0, 2.0], [1.0, -0.5]])
+        U = np.zeros((2, 2))
+        assert bs._fenchel_young_rows(X, U) == [bs.fenchel_young(X[0], U[0]), INF]
+
+    def test_a_nan_value_is_an_error(self):
+        # As in xadd, a NaN term is an error, also in a row whose conjugate
+        # sum is +inf.
+        part = functions.ScalarLegendre(
+            name="nan_at_two", dom=(-INF, INF), value=lambda t: math.nan if t == 2.0 else t,
+            deriv=lambda t: 1.0, deriv_inv=lambda s: 0.0, conj_dom=(0.5, 1.5),
+            conj_value=lambda s: 0.0)
+        phi = functions.SeparableFunction(part, 2)
+        assert phi.fenchel_young([1.0, 3.0], [1.0, 1.0]) == 0.0
+        with pytest.raises(ValueError, match="NaN"):
+            phi._fenchel_young_rows(np.array([[1.0, 3.0], [3.0, 2.0]]), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="NaN"):
+            phi.fenchel_young([3.0, 2.0], [2.0, 1.0])
 
 
 class TestCompositeQuadPlus:

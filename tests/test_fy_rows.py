@@ -122,3 +122,64 @@ def test_a_large_row_keeps_its_own_looser_tolerance(monkeypatch):
 def test_rows_of_another_dimension_are_refused():
     with pytest.raises(DomainError):
         _fy_rows(functions.burg(2), np.ones((3, 1)), -np.ones((3, 1)), 1.0, "pairing")
+
+
+def _fd_over_bs_per_row(X, U, gamma):
+    A = GradientOp(functions.boltzmann_shannon())
+    results = [bounds.bound_bregman(functions.fermi_dirac(), A, DualPair(x, u), gamma)
+               for x, u in zip(X, U)]
+    return np.array([b.value for b in results]), results
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fermi_dirac_kernel_rows_equal_the_panel_bounds_exactly():
+    # The Boltzmann-Shannon panel grid, then on-graph rows x = e^u*, where
+    # float noise below zero is clamped.
+    xs = np.linspace(0.01, 0.99, 201)
+    us = np.linspace(-4.6, -0.01, 201)
+    X = np.concatenate([xs, xs, np.exp(us)])[:, None]
+    U = np.concatenate([np.full(201, 1.0), np.full(201, -1.0), us])[:, None]
+    values, Z = _fy_rows(functions.boltzmann_shannon(), X, U, 1.0, "bregman",
+                         f=functions.fermi_dirac())
+    expected, results = _fd_over_bs_per_row(X, U, 1.0)
+    assert sum("clamped_from" in b.diagnostics for b in results) > 0
+    assert values.tolist() == expected.tolist()
+    assert Z.tolist() == [b.z.tolist() for b in results]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_fermi_dirac_kernel_rows_in_the_tail_band(gamma):
+    # |log r| > log 1e3, with r = x e^{gamma u*} / (1 - x): the root is
+    # carried by its logs, and off gamma = 1 by a scalar solve.
+    rng = np.random.default_rng(20251018)
+    x = rng.uniform(0.01, 0.99, 400)
+    u = rng.uniform(-30.0, 30.0, 400)
+    log_r = np.log(x) - np.log1p(-x) + gamma * u
+    tail = np.abs(log_r) > bounds._FD_LOG_R_MAX
+    X, U = x[tail][:60, None], u[tail][:60, None]
+    assert X.shape == (60, 1)
+    values, _ = _fy_rows(functions.boltzmann_shannon(), X, U, gamma, "bregman",
+                         f=functions.fermi_dirac())
+    expected, _ = _fd_over_bs_per_row(X, U, gamma)
+    np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["pairing", "bregman", "strong"])
+def test_a_kernel_function_is_used_as_fy_bound_dispatch_does(method):
+    # f is the kernel of pairing and bregman; strong keeps the identity.
+    rng = np.random.default_rng(7)
+    bs, fd = functions.boltzmann_shannon(3), functions.fermi_dirac(3)
+    X, U = rng.uniform(0.05, 0.95, (8, 3)), rng.uniform(-2.0, 2.0, (8, 3))
+    values, Z = _fy_rows(bs, X, U, 1.0, method, f=fd)
+    results = [fy_bound_dispatch(bs, fd, DualPair(x, u), 1.0, method) for x, u in zip(X, U)]
+    np.testing.assert_allclose(values, [b.value for b in results], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(Z, [b.z for b in results], rtol=1e-12, atol=1e-15)
+
+
+def test_a_kernel_of_another_dimension_is_refused():
+    X = np.full((3, 2), 0.5)
+    with pytest.raises(DomainError):
+        _fy_rows(functions.boltzmann_shannon(2), X, X, 1.0, "bregman",
+                 f=functions.fermi_dirac(1))
