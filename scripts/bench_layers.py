@@ -15,6 +15,14 @@ speed reaches all trees alike. The layers are:
   A = subdiff(phi), for each catalog phi;
 - ``bound``: each Fenchel-Young method on each catalog phi, and
   ``carlier_haraux`` with A = subdiff(burg);
+- ``bound_bregman_closed``: ``bound_bregman`` on its two closed-form
+  routes, the Burg self-pair and Fermi-Dirac over Boltzmann-Shannon, with
+  the generic cross-check solve that fills its diagnostics;
+- ``figure1_point``: the two point ops of the benchmark's figure1
+  workload at d = 1, each a ``DualPair``, the new bound, ``carlier_fy``
+  and the exact value at one point: ``burg`` (``legendre_self``) and
+  ``fermi_dirac_bs`` (``bound_bregman`` with kernel Fermi-Dirac over
+  subdiff(Boltzmann-Shannon)); they do not depend on d;
 - ``sample_graph``: the oracle grid of subdiff(burg); a d-dimensional grid
   has n^d points, so it is measured at d = 1 (4096 points), d = 2
   (129 x 129) and d = 10 (2 per axis) only; and, under the key
@@ -130,6 +138,36 @@ def measure():
         A = operators.SubdifferentialOp(functions.burg(d))
         p = DualPair(x[:d], u[:d])
         costs[d] = time_call(lambda: bounds.bound_carlier_haraux(A, p, 1.0))
+
+    out["bound_bregman_closed"] = {}
+    for key, f, a in (("burg", "burg", "burg"),
+                      ("fermi_dirac_bs", "fermi_dirac", "boltzmann_shannon")):
+        costs = out["bound_bregman_closed"][key] = {}
+        x, u = points[f]
+        for d in DIMS:
+            kernel = functions.from_name(f, d)
+            A = operators.SubdifferentialOp(functions.from_name(a, d))
+            p = DualPair(x[:d], u[:d])
+            costs[d] = time_call(lambda: bounds.bound_bregman(kernel, A, p, 1.0))
+
+    # The figure1 point ops as the benchmark's workload calls them.
+    burg, bs, fd = functions.burg(), functions.boltzmann_shannon(), functions.fermi_dirac()
+    A_bs = operators.SubdifferentialOp(bs)
+
+    def burg_point():
+        p = DualPair([2.5], [-1.0])
+        bounds.bound_legendre_self(burg, p, 1.0)
+        bounds.bound_carlier_fy(burg, p, 1.0)
+        bounds.exact_fenchel_young(burg, p)
+
+    def fermi_dirac_bs_point():
+        p = DualPair([0.5], [1.0])
+        bounds.bound_bregman(fd, A_bs, p, 1.0)
+        bounds.bound_carlier_fy(bs, p, 1.0)
+        bounds.exact_fenchel_young(bs, p)
+
+    out["figure1_point"] = {"burg": time_call(burg_point),
+                            "fermi_dirac_bs": time_call(fermi_dirac_bs_point)}
 
     for d, n in ((1, oracle.DEFAULT_N_1D), (2, 129), (10, 2)):
         A = operators.SubdifferentialOp(functions.burg(d))

@@ -8,15 +8,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DomainError, DualPair
-from .functions import SeparableFunction
+from .functions import SeparableFunction, _match_dim
 from .operators import GradientOp, identity
 from .solvers import (
     ConvergenceError,
     NoSolutionError,
     ResolventProblem,
     _prox,
+    _row_residuals,
     _StackedProblem,
-    resolvent_residual,
     solve_resolvent,
     solve_scalar_increasing,
 )
@@ -71,7 +71,7 @@ def _row_sums(terms, rows):
 def _kernel_point(W, A, x, u, gamma, rows=1):
     """Wx, the auxiliary point z = (W + gamma*A)^{-1}(Wx + gamma*u*) that
     every kernel bound is read off, and the residual of its resolvent
-    equation on each block."""
+    equation on each block. ``W.apply`` checks x against the kernel."""
     wx = W.apply(x)
     problem = _StackedProblem(W, A, gamma, wx + gamma * u, rows)
     z = solve_resolvent(problem)
@@ -81,7 +81,7 @@ def _kernel_point(W, A, x, u, gamma, rows=1):
 def _pairing_rows(W, A, x, u, gamma, rows=1):
     """<x - z, Wx - Wz> / gamma of each block, z and the block residuals."""
     wx, z, residuals = _kernel_point(W, A, x, u, gamma, rows)
-    return _row_sums((x - z) * (wx - W.apply(z)), rows) / gamma, z, residuals
+    return _row_sums((x - z) * (wx - W._apply(z)), rows) / gamma, z, residuals
 
 
 def _modulus_rows(W, A, x, u, gamma, modulus, rows=1):
@@ -114,21 +114,15 @@ def bound_modulus(W, A, p, gamma, modulus=None):
                      {"residual": float(residuals[0])})
 
 
-def _is_op_of(A, name):
-    return A.f is not None and all(p.name == name for p in A.f.parts)
-
-
 def burg_self_bound_closed(x, u, gamma):
     """Closed form of the Bregman bound for the Burg self-pair. The
     resolvent has a solution only where 1 - gamma*x*u* > 0."""
-    terms, z = _burg_self_terms(x, u, gamma)
+    terms, z = _burg_self_terms(np.asarray(x, dtype=float), np.asarray(u, dtype=float), gamma)
     return float(np.sum(terms)), z
 
 
 def _burg_self_terms(x, u, gamma):
     """The per-coordinate terms of burg_self_bound_closed, and z."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
     if np.any(1.0 - gamma * x * u <= 0.0):
         raise NoSolutionError("the Burg self-pair resolvent has no solution "
                               "where 1 - gamma*x*u* <= 0")
@@ -152,15 +146,13 @@ def fermi_dirac_zeta(x, u, gamma):
     coordinatewise on (0, 1). At gamma = 1 the equation is quadratic in z
     and solved in closed form; otherwise a safeguarded scalar solve is
     used, started from the gamma = 1 root."""
-    return _fermi_dirac_root(x, u, gamma)[0]
+    return _fermi_dirac_root(np.asarray(x, dtype=float), np.asarray(u, dtype=float), gamma)[0]
 
 
 def _fermi_dirac_root(x, u, gamma):
-    """(zeta, band, log(zeta), log(1 - zeta)): ``band`` masks the
-    coordinates where zeta is the direct closed form, and the logs are
-    given on the others (None when there are none)."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
+    """(zeta, band, log(zeta), log(1 - zeta)) at arrays x and u: ``band``
+    masks the coordinates where zeta is the direct closed form, and the
+    logs are given on the others (None when there are none)."""
     log_r = np.log(x) - np.log1p(-x) + gamma * u
     band = np.abs(log_r) <= _FD_LOG_R_MAX
     zeta = np.empty_like(log_r)
@@ -200,14 +192,14 @@ def _fermi_dirac_root(x, u, gamma):
 
 
 def fermi_dirac_bound_closed(x, u, gamma):
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     terms, zeta = _fermi_dirac_terms(x, u, gamma)
     return float(np.sum(terms)) / gamma, zeta
 
 
 def _fermi_dirac_terms(x, u, gamma):
-    """The per-coordinate terms of fermi_dirac_bound_closed times gamma,
-    and zeta."""
-    x = np.asarray(x, dtype=float)
+    """The per-coordinate terms of fermi_dirac_bound_closed times gamma at
+    arrays x and u, and zeta."""
     zeta, band, log_z, log_1mz = _fermi_dirac_root(x, u, gamma)
     terms = np.empty_like(zeta)
     xb, zb = x[band], zeta[band]
@@ -224,12 +216,13 @@ def _fermi_dirac_terms(x, u, gamma):
 def _bregman_rows(f, A, x, u, gamma, rows=1):
     """(D_f(x,z) + D_f(z,x)) / gamma of each block, z, the route, and the
     block residuals of the generic route (None on the closed forms)."""
-    if not f.in_interior(x):
+    if not f._inside(x):
         raise DomainError("x must lie strictly inside dom f")
-    if f.name == "burg" and _is_op_of(A, "burg"):
+    pair = (f.name, A.f.name if A.f is not None else None)
+    if pair == ("burg", "burg"):
         terms, z = _burg_self_terms(x, u, gamma)
         return _row_sums(terms, rows), z, "burg_closed", None
-    if f.name == "fermi_dirac" and _is_op_of(A, "boltzmann_shannon"):
+    if pair == ("fermi_dirac", "boltzmann_shannon"):
         terms, z = _fermi_dirac_terms(x, u, gamma)
         return _row_sums(terms, rows) / gamma, z, "fermi_dirac_closed", None
     values, z, residuals = _pairing_rows(GradientOp(f), A, x, u, gamma, rows)
@@ -246,15 +239,15 @@ def bound_bregman(f, A, p, gamma):
     diagnostics as a cross-check, and so is its failure, which leaves the
     closed form standing.
     """
-    x, u = p.x, p.u_star
+    x, u = _match_dim(p.x, f.dim), p.u_star
     values, z, method, residuals = _bregman_rows(f, A, x, u, gamma)
+    inside = f._inside(z)
     if residuals is not None:
         diag = {"residual": float(residuals[0])}
     else:
-        W = GradientOp(f)
-        rhs = f.gradient(x) + gamma * u
-        diag = {}
-        problem = ResolventProblem(W, A, gamma, rhs)
+        # x passed the interior test of _bregman_rows.
+        W, diag = GradientOp(f), {}
+        problem = ResolventProblem(W, A, gamma, f._evaluate("deriv", x) + gamma * u)
         try:
             z_num = solve_resolvent(problem)
             diag["solver_z_gap"] = float(np.max(np.abs(z - z_num)))
@@ -264,25 +257,25 @@ def bound_bregman(f, A, p, gamma):
             # Without a cross-check the residual is taken at the
             # closed-form z; it is +inf when that z is within the boundary
             # tolerance of dom f, where the gradient is not evaluated.
-            diag["residual"] = (resolvent_residual(W, A, gamma, z, rhs)
-                                if f.in_interior(z) else math.inf)
-    diag["near_boundary"] = not f.in_interior(z)
+            diag["residual"] = (float(_row_residuals(W, A, gamma, z, problem.rhs, 1)[0])
+                                if inside else math.inf)
+    diag["near_boundary"] = not inside
     return _finalize(float(values[0]), z, method, gamma, diag)
 
 
 def _legendre_self_rows(phi, x, u, gamma, rows=1):
     """<x - z, grad phi(x) - u*> / (1 + gamma) of each block, and z."""
-    if not phi.in_interior(x):
+    if not phi._inside(x):
         raise DomainError("x must lie strictly inside dom phi")
-    gx = phi.gradient(x)
-    z = phi.grad_conj((gx + gamma * u) / (1.0 + gamma))
+    gx = phi._evaluate("deriv", x)
+    z = phi._grad_conj_at((gx + gamma * u) / (1.0 + gamma))
     return _row_sums((x - z) * (gx - u), rows) / (1.0 + gamma), z
 
 
 def bound_legendre_self(phi, p, gamma):
     """<x - z, grad phi(x) - u*> / (1 + gamma) with
     z = grad phi*((grad phi(x) + gamma*u*) / (1 + gamma))."""
-    values, z = _legendre_self_rows(phi, p.x, p.u_star, gamma)
+    values, z = _legendre_self_rows(phi, _match_dim(p.x, phi.dim), p.u_star, gamma)
     return _finalize(float(values[0]), z, "legendre_self", gamma, {})
 
 
@@ -388,4 +381,4 @@ def _fy_rows(phi, X, U, gamma, method, f=None):
 
 def exact_fenchel_young(phi, p):
     """Closed-form L_phi(x, u*) for catalog functions."""
-    return phi.fenchel_young(p.x, p.u_star)
+    return phi._fenchel_young_rows(_match_dim(p.x, phi.dim)[None], p.u_star[None])[0]

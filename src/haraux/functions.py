@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import INF, DomainError, as_vector, pairing, xadd
+from .core import INF, DomainError, as_vector, xadd
 
 # A point this close to an open domain boundary is treated as outside for
 # gradient/Bregman purposes; avoids catastrophic log/division blowup.
@@ -118,7 +118,11 @@ class ScalarLegendre:
 
 def _check_dim(x, dim):
     """x as a vector, checked against the dimension of a function."""
-    x = as_vector(x)
+    return _match_dim(as_vector(x), dim)
+
+
+def _match_dim(x, dim):
+    """The checked vector x, tested against the dimension of a function."""
     if x.shape[0] != dim:
         raise DomainError(
             f"point of dimension {x.shape[0]} for function of dimension {dim}"
@@ -143,7 +147,8 @@ class SeparableFunction:
     Coordinates that share one part object form a group: ``groups`` lists
     (part, coordinates) pairs, the coordinates a slice when one part
     covers them all. The gradient, its inverse and the interior test
-    evaluate each group's array formulas on whole vectors.
+    evaluate each group's array formulas on whole vectors. The public
+    methods check their points; the underscore ones take checked vectors.
     """
 
     def __init__(self, parts, dim=None):
@@ -167,18 +172,17 @@ class SeparableFunction:
             group_id = np.array([number[id(p)] for p in parts])
             self.groups = [(p, np.flatnonzero(group_id == k))
                            for k, p in enumerate(unique)]
+        names = {p.name for p, _ in self.groups}
+        self.name = names.pop() if len(names) == 1 else "mixed"
         self.dom_lo, self.dom_hi = _bounds([p.dom for p in parts])
         self.conj_lo, self.conj_hi = _bounds([p.conj_dom for p in parts])
         self._lo_tol = _boundary_tol(self.dom_lo)
         self._hi_tol = _boundary_tol(self.dom_hi)
 
-    @property
-    def name(self):
-        names = {p.name for p in self.parts}
-        return names.pop() if len(names) == 1 else "mixed"
-
     def __call__(self, x):
-        x = _check_dim(x, self.dim)
+        return self._value(_check_dim(x, self.dim))
+
+    def _value(self, x):
         return xadd(*(p.eval(t) for p, t in zip(self.parts, x)))
 
     def conjugate_eval(self, u_star):
@@ -216,7 +220,9 @@ class SeparableFunction:
 
     def grad_conj(self, s):
         """Inverse gradient (gradient of the conjugate), coordinatewise."""
-        s = _check_dim(s, self.dim)
+        return self._grad_conj_at(_check_dim(s, self.dim))
+
+    def _grad_conj_at(self, s):
         outside = ~((self.conj_lo < s) & (s < self.conj_hi))
         if outside.any():
             i = int(np.argmax(outside))
@@ -225,15 +231,10 @@ class SeparableFunction:
 
     def bregman(self, x, y):
         """D(x, y) = f(x) - f(y) - <x - y, grad f(y)>; +inf if y not interior."""
-        x = _check_dim(x, self.dim)
-        y = _check_dim(y, self.dim)
-        if not self.in_interior(y):
+        x, y = _check_dim(x, self.dim), _check_dim(y, self.dim)
+        if not self._inside(y) or (fx := self._value(x)) == INF:
             return INF
-        fx = self(x)
-        if fx == INF:
-            return INF
-        fy = self(y)
-        return fx - fy - pairing(x - y, self.gradient(y))
+        return fx - self._value(y) - float(np.dot(x - y, self._evaluate("deriv", y)))
 
     def fenchel_young(self, x, u_star):
         """phi(x) + phi*(u*) - <x, u*>, always >= 0."""

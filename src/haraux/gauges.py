@@ -68,7 +68,6 @@ def primal_primal_bound(inst, x, y):
     """Lower bound on H_A(x, -B(y)), the two-argument membership function
     for the direct-sum operator; the diagonal y = x gives the gauge."""
     x = as_vector(x)
-    y = as_vector(y)
     gamma = inst.gamma
     value, z, diag = _pairing_value(inst.W, inst.A, x, -inst.B.apply(y), gamma)
     if inst.modulus is not None:
@@ -122,7 +121,7 @@ def fr_gauge_bound(f, g_star, phi, psi_star, L, gamma, x, y_star):
         "component_primal": max(comp_x, 0.0),
         "component_dual": max(comp_y, 0.0),
         "residual": max(diag_x["residual"], diag_y["residual"]),
-        "near_boundary": not (f.in_interior(zx) and g_star.in_interior(zy)),
+        "near_boundary": not (f._inside(zx) and g_star._inside(zy)),
     }
     return _finalize(
         comp_x + comp_y, np.concatenate([zx, zy]), "fr_gauge", gamma, diag

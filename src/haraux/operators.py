@@ -74,7 +74,8 @@ class MonotoneOperator:
       implement; ``apply_rows(Y)`` applies it to each row of a
       (k, dim_in) batch. The base class loops over the rows, and the
       operators the graph oracle samples (``GradientOp``, ``Joca16Op``)
-      evaluate the batch in one array expression.
+      evaluate the batch in one array expression. ``_apply(x)`` is
+      ``apply`` at a checked vector of R^dim_in, without the checks.
     - ``dim_in``: the dimension N of the space the operator acts on.
     - ``separable_terms()``: a SeparableTerms record when the operator
       decouples coordinatewise, else None.
@@ -94,12 +95,15 @@ class MonotoneOperator:
     def apply(self, x):
         raise NotImplementedError
 
+    def _apply(self, x):
+        return self.apply(x)
+
     def apply_rows(self, Y):
         """Row i of the result is apply(Y[i])."""
         Y = _rows(Y, self.dim_in)
         out = np.empty_like(Y)
         for i, y in enumerate(Y):
-            out[i] = self.apply(y)
+            out[i] = self._apply(y)
         return out
 
     def __call__(self, x):
@@ -176,6 +180,9 @@ class GradientOp(MonotoneOperator):
 
     def apply(self, x):
         return self.f.gradient(x)
+
+    def _apply(self, x):
+        return self.f._gradient_at(x)
 
     def apply_rows(self, Y):
         return self.f._gradient_at(_rows(Y, self.dim_in))
@@ -274,6 +281,9 @@ class DiagonalOp(MonotoneOperator):
         x = as_vector(x)
         if x.shape[0] != self.dim_in:
             raise DomainError("dimension mismatch in diagonal operator")
+        return self._apply(x)
+
+    def _apply(self, x):
         return self.d * x + self.b
 
     def separable_terms(self):

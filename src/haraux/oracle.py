@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector
 
 DEFAULT_SEED = 0x48415241
 # Dense-grid defaults; escalation doubles n_per_dim up to the cap.
@@ -63,13 +62,12 @@ def sample_graph(A, box, n_per_dim):
 
 
 def haraux_lower_approx(sample, p):
-    """max over the sample of <x - y, y* - u*>: a lower approximation of
-    H_A(x, u*) that never decreases under sample refinement."""
+    """max over the sample of <x - y, y* - u*> at the DualPair p: a lower
+    approximation of H_A(x, u*) that never decreases under sample
+    refinement."""
     if sample.y.shape[0] == 0:
         raise ValueError("empty graph sample")
-    x = as_vector(p.x)
-    u = as_vector(p.u_star)
-    vals = np.einsum("kj,kj->k", x[None, :] - sample.y, sample.y_star - u[None, :])
+    vals = np.einsum("kj,kj->k", p.x[None, :] - sample.y, sample.y_star - p.u_star[None, :])
     return float(vals.max())
 
 

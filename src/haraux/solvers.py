@@ -71,6 +71,7 @@ class ResolventProblem:
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
+        # Checked also where the library forms rhs: a sum can overflow.
         object.__setattr__(self, "rhs", as_vector(self.rhs))
         if self.W.dim_in != self.A.dim_in or self.rhs.shape[0] != self.W.dim_in:
             raise ValueError("dimensions of W, A and rhs must agree")
@@ -426,7 +427,7 @@ def _solve_newton(W, A, gamma, rhs, tol, lo, hi):
     each coordinate of the residual is within its entry of tol."""
 
     def F(z):
-        return W.apply(z) + gamma * A.apply(z) - rhs
+        return W._apply(z) + gamma * A._apply(z) - rhs
 
     lo, hi = _shrunk_arrays(lo, hi, rhs.shape[0])
     z = np.full(rhs.shape[0], np.nan)
@@ -458,13 +459,14 @@ def _solve_newton(W, A, gamma, rhs, tol, lo, hi):
 
 def resolvent_residual(W, A, gamma, z, rhs):
     """Infinity-norm residual of W(z) + gamma*A(z) = rhs."""
-    return float(_row_residuals(W, A, gamma, z, as_vector(rhs), 1)[0])
+    rhs = as_vector(rhs)
+    return float(np.max(np.abs(W.apply(z) + gamma * A.apply(z) - rhs)))
 
 
 def _row_residuals(W, A, gamma, z, rhs, rows):
     """The infinity-norm residual of each of ``rows`` equal blocks of
-    W(z) + gamma*A(z) = rhs."""
-    r = np.abs(W.apply(z) + gamma * A.apply(z) - rhs)
+    W(z) + gamma*A(z) = rhs, at a z the solver formed."""
+    r = np.abs(W._apply(z) + gamma * A._apply(z) - rhs)
     return r.reshape(rows, -1).max(axis=1)
 
 
@@ -508,16 +510,16 @@ def prox(phi, gamma, x):
 
 
 def _prox(phi, gamma, x, rows=1):
-    """prox at a vector x whose coordinates form ``rows`` equal blocks,
-    each solved to the tolerance of its own block as if alone."""
+    """prox at a checked vector x whose coordinates form ``rows`` equal
+    blocks, each solved to the tolerance of its own block as if alone."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if x.shape[0] != phi.dim:
         raise DomainError("dimension mismatch in prox")
-    tol = np.repeat(_row_tol(x, rows), x.shape[0] // rows)
     out = np.empty_like(x)
     for p, coords in phi.groups:
-        out[coords] = _prox_part_array(p, gamma, x[coords], tol[coords])
+        tol = None if p.prox_fn else np.repeat(_row_tol(x, rows), x.shape[0] // rows)[coords]
+        out[coords] = _prox_part_array(p, gamma, x[coords], tol)
     return out
 
 
@@ -526,10 +528,8 @@ def bregman_prox(f, phi, gamma, s):
 
     The start point is deriv_inv(s_i/(1+gamma)) of the kernel part when
     that lands inside the domain, else the domain midpoint; an interior
-    start is mandatory for log-type barriers.
+    start is mandatory for log-type barriers. The problem checks gamma.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     s = as_vector(s)
     W, A = GradientOp(f), GradientOp(phi)
     if W.dim_in != A.dim_in or s.shape[0] != W.dim_in:
@@ -579,10 +579,9 @@ def lambert_w_of_exp(a):
 
 
 def warped_resolvent(W, A, B, gamma, x):
-    """(W + gamma*A)^{-1}(W(x) - gamma*B(x)).
+    """(W + gamma*A)^{-1}(W(x) - gamma*B(x)); W.apply checks x.
 
     Fixed points are exactly the zeros of A + B inside dom W.
     """
-    x = as_vector(x)
     rhs = W.apply(x) - gamma * B.apply(x)
     return solve_resolvent(ResolventProblem(W, A, gamma, rhs))

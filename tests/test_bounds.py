@@ -6,7 +6,7 @@ import pytest
 from haraux import bounds, functions
 from haraux.core import DomainError, DualPair
 from haraux.operators import GradientOp, SubdifferentialOp, identity, strong
-from haraux.solvers import NoSolutionError
+from haraux.solvers import NoSolutionError, solve_resolvent
 from haraux.bounds import (
     FY_METHODS,
     InternalConsistencyError,
@@ -106,6 +106,30 @@ class TestClosedForms:
         b = bound_bregman(functions.fermi_dirac(), SubdifferentialOp(bs), p, gamma)
         assert b.value == value and np.array_equal(b.z, zeta)
         assert ("solver_z_gap" in b.diagnostics) != ("crosscheck_error" in b.diagnostics)
+
+    def test_fermi_dirac_crosscheck_runs_on_the_figure1_panel(self, monkeypatch):
+        # The 402 points of the figure1 Fermi-Dirac-over-Boltzmann-Shannon
+        # panel: each bound runs one independent generic solve, which
+        # agrees with the closed form and meets the residual contract.
+        fd, bs = functions.fermi_dirac(), functions.boltzmann_shannon()
+        A = SubdifferentialOp(bs)
+        solves = []
+
+        def counted(problem):
+            solves.append(problem)
+            return solve_resolvent(problem)
+
+        monkeypatch.setattr(bounds, "solve_resolvent", counted)
+        for u in (1.0, -1.0):
+            for x in np.linspace(0.01, 0.99, 201).tolist():
+                b = bound_bregman(fd, A, DualPair([x], [u]), 1.0)
+                rhs = fd.gradient([x])[0] + u
+                assert b.method == "fermi_dirac_closed"
+                assert b.diagnostics["solver_z_gap"] <= 1e-10
+                residual = b.diagnostics["residual"]
+                assert math.isfinite(residual) and residual <= 1e-12 * (1.0 + abs(rhs))
+                assert solves[-1].rhs.tolist() == [rhs]
+        assert len(solves) == 402
 
     def test_fermi_dirac_bound_nonnegative(self, rng):
         for _ in range(30):
