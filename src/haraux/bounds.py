@@ -176,17 +176,11 @@ def _fermi_dirac_root(x, u, gamma):
     start = np.empty_like(log_r)
     start[band] = np.log(zeta[band]) - np.log1p(-zeta[band])
     start[tail] = log_z - log_1mz
-    logit = np.array([
-        solve_scalar_increasing(
-            lambda t: t - gamma * np.logaddexp(0.0, -t),
-            lambda t: 1.0 + gamma * math.exp(-np.logaddexp(0.0, t)),
-            (-math.inf, math.inf),
-            target,
-            1e-13 * (1.0 + abs(target)),
-            x0=t0,
-        )
-        for target, t0 in zip(log_r.tolist(), start.tolist())
-    ])
+    h = lambda t: t - gamma * np.logaddexp(0.0, -t)
+    dh = lambda t: 1.0 + gamma * math.exp(-np.logaddexp(0.0, t))
+    logit = np.array([solve_scalar_increasing(h, dh, (-math.inf, math.inf), target,
+                                              1e-13 * (1.0 + abs(target)), x0=t0)
+                      for target, t0 in zip(log_r.tolist(), start.tolist())])
     log_z = -np.logaddexp(0.0, -logit)
     return np.exp(log_z), np.zeros_like(band), log_z, -np.logaddexp(0.0, logit)
 
@@ -241,7 +235,6 @@ def bound_bregman(f, A, p, gamma):
     """
     x, u = _match_dim(p.x, f.dim), p.u_star
     values, z, method, residuals = _bregman_rows(f, A, x, u, gamma)
-    inside = f._inside(z)
     if residuals is not None:
         diag = {"residual": float(residuals[0])}
     else:
@@ -255,11 +248,11 @@ def bound_bregman(f, A, p, gamma):
         except (NoSolutionError, ConvergenceError) as exc:
             diag["crosscheck_error"] = f"{type(exc).__name__}: {exc}"
             # Without a cross-check the residual is taken at the
-            # closed-form z; it is +inf when that z is within the boundary
-            # tolerance of dom f, where the gradient is not evaluated.
+            # closed-form z; it is +inf when that z rounded onto an end of
+            # dom f, where the gradient is not evaluated.
             diag["residual"] = (float(_row_residuals(W, A, gamma, z, problem.rhs, 1)[0])
-                                if inside else math.inf)
-    diag["near_boundary"] = not inside
+                                if f._inside(z) else math.inf)
+    diag["near_boundary"] = f._near_boundary(z)
     return _finalize(float(values[0]), z, method, gamma, diag)
 
 

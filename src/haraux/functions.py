@@ -20,8 +20,8 @@ import numpy as np
 
 from .core import INF, DomainError, as_vector, xadd
 
-# A point this close to an open domain boundary is treated as outside for
-# gradient/Bregman purposes; avoids catastrophic log/division blowup.
+# The ``near_boundary`` diagnostic flags an auxiliary point this close
+# (times max(1, |end|)) to a finite end of an open domain, or outside it.
 BOUNDARY_TOL = 1e-14
 
 
@@ -43,11 +43,12 @@ def _mapped(fn):
         [fn(ti, *args) for ti in t.ravel().tolist()], dtype=float).reshape(t.shape)
 
 
-def _conjugate_forms(f):
-    """The formulas of the conjugate: derivative and inverse swap places."""
+def _conjugate_forms(f, recip):
+    """The formulas of the conjugate, over the backend of ``recip``:
+    derivative and inverse swap places."""
     deriv2 = None
     if f.deriv2 is not None:
-        deriv2 = lambda s: 1.0 / f.deriv2(f.deriv_inv(s))
+        deriv2 = lambda s: recip(f.deriv2(f.deriv_inv(s)))
     return _Forms(deriv=f.deriv_inv, deriv_inv=f.deriv, deriv2=deriv2)
 
 
@@ -111,8 +112,8 @@ class ScalarLegendre:
             value=self.conj_value,
             conj_dom=self.dom,
             conj_value=self.value,
-            arrays=_conjugate_forms(self.arrays),
-            **vars(_conjugate_forms(self)),
+            arrays=_conjugate_forms(self.arrays, _recip_array),
+            **vars(_conjugate_forms(self, _recip)),
         )
 
 
@@ -134,11 +135,6 @@ def _bounds(intervals):
     """Lower and upper ends of open intervals as two arrays."""
     ends = np.array(intervals, dtype=float)
     return ends[:, 0].copy(), ends[:, 1].copy()
-
-
-def _boundary_tol(end):
-    """The boundary tolerance at each finite end; 0 at an infinite one."""
-    return np.where(np.isfinite(end), BOUNDARY_TOL * np.maximum(1.0, np.abs(end)), 0.0)
 
 
 class SeparableFunction:
@@ -176,8 +172,6 @@ class SeparableFunction:
         self.name = names.pop() if len(names) == 1 else "mixed"
         self.dom_lo, self.dom_hi = _bounds([p.dom for p in parts])
         self.conj_lo, self.conj_hi = _bounds([p.conj_dom for p in parts])
-        self._lo_tol = _boundary_tol(self.dom_lo)
-        self._hi_tol = _boundary_tol(self.dom_hi)
 
     def __call__(self, x):
         return self._value(_check_dim(x, self.dim))
@@ -199,11 +193,13 @@ class SeparableFunction:
         return out
 
     def _inside(self, x):
-        # Strictly inside, and farther than BOUNDARY_TOL * max(1, |end|)
-        # from each finite end; t - lo > tol implies lo < t, and hi - t > tol
-        # implies t < hi.
-        return bool(((x - self.dom_lo > self._lo_tol)
-                     & (self.dom_hi - x > self._hi_tol)).all())
+        return bool(((self.dom_lo < x) & (x < self.dom_hi)).all())
+
+    def _near_boundary(self, x):
+        """Whether a coordinate of x is within BOUNDARY_TOL * max(1, |end|) of an end."""
+        lo, hi = self.dom_lo, self.dom_hi
+        tol = lambda end: np.where(np.isfinite(end), BOUNDARY_TOL * np.maximum(1.0, abs(end)), 0.0)
+        return not ((x - lo > tol(lo)) & (hi - x > tol(hi))).all()
 
     def in_interior(self, x):
         return self._inside(_check_dim(x, self.dim))
@@ -297,23 +293,36 @@ def _exp(s):
         raise DomainError(f"exp(s) overflows a float at s = {float(s)!r}") from None
 
 
-# e^s is finite for every s up to this; the array forms check for
-# overflow only past it.
+# e^s is finite for every s up to this; only past it is overflow checked.
 _EXP_SAFE = 709.0
 
 
 def _exp_array(s):
     """_exp over an array."""
-    if s.max() <= _EXP_SAFE:
-        return np.exp(s)
-    with np.errstate(over="ignore"):
-        e = np.exp(s)
-    overflow = np.isinf(e)
-    if overflow.any():
-        raise DomainError(
-            f"exp(s) overflows a float at s = {float(s[np.argmax(overflow)])!r}"
-        )
-    return e
+    if s.max() > _EXP_SAFE:
+        _exp(s.max())
+    return np.exp(s)
+
+
+# 1/t is finite for |t| from this on.
+_RECIP_SAFE = 5.6e-309
+
+
+def _recip(t):
+    """1/t, with overflow reported as a point outside the domain."""
+    if abs(t) < _RECIP_SAFE:
+        raise DomainError(f"1/t overflows a float at t = {float(t)!r}")
+    return 1.0 / t
+
+
+def _recip_array(t):
+    """_recip over an array; one element is checked as a float, which costs
+    less than a numpy reduction."""
+    if t.size == 1:
+        _recip(t.item())
+    elif not (t.min() >= _RECIP_SAFE or t.max() <= -_RECIP_SAFE):
+        _recip(t.flat[np.argmin(np.abs(t))])
+    return 1.0 / t
 
 
 def _logistic(s):
@@ -360,13 +369,14 @@ def _prox_array(p, gamma, t):
 # The two backends a catalog formula is instantiated over. ``forms`` picks
 # a part's formulas of the same backend.
 _MATH = SimpleNamespace(
-    log=math.log, sqrt=math.sqrt, exp=_exp, logistic=_logistic,
+    log=math.log, sqrt=math.sqrt, exp=_exp, logistic=_logistic, recip=_recip,
+    extent=lambda t: (t, t), where=lambda condition, a, b: a if condition else b,
     lambert_w_of_exp=_lambert_w_of_exp, prox=_prox_float, forms=lambda p: p,
 )
 _NUMPY = SimpleNamespace(
-    log=np.log, sqrt=np.sqrt, exp=_exp_array, logistic=_logistic_array,
-    lambert_w_of_exp=_lambert_w_of_exp_array, prox=_prox_array,
-    forms=lambda p: p.arrays,
+    log=np.log, sqrt=np.sqrt, exp=_exp_array, logistic=_logistic_array, recip=_recip_array,
+    extent=lambda t: (t.min(), t.max()), where=np.where, lambert_w_of_exp=_lambert_w_of_exp_array,
+    prox=_prox_array, forms=lambda p: p.arrays,
 )
 
 
@@ -398,11 +408,28 @@ def _quadratic_scalar():
 
 def _burg_forms(m):
     return _Forms(
-        deriv=lambda t: -1.0 / t,
-        deriv_inv=lambda s: -1.0 / s,
-        deriv2=lambda t: 1.0 / (t * t),
-        prox_fn=lambda t, gamma: 0.5 * (t + m.sqrt(t * t + 4.0 * gamma)),
+        deriv=lambda t: -m.recip(t),
+        deriv_inv=lambda s: m.recip(-s),
+        deriv2=lambda t: m.recip(t * t),
+        prox_fn=lambda t, gamma: _burg_prox(m, t, gamma),
     )
+
+
+def _burg_prox(m, t, gamma):
+    """The root z > 0 of z^2 - t z - gamma = 0: (t + sqrt(t^2 + 4 gamma))/2, or,
+    below t = -1e3 sqrt(gamma), where that sum cancels, 2 gamma/(sqrt(...) - t)."""
+    lo, hi = m.extent(t)
+    if max(-lo, hi) > _SQUARE_SAFE:
+        raise DomainError(f"t*t overflows a float at |t| = {float(max(-lo, hi))!r}")
+    root = m.sqrt(t * t + 4.0 * gamma)
+    cut = -1e3 * math.sqrt(gamma)
+    if lo >= cut:
+        return 0.5 * (t + root)
+    return m.where(t < cut, 2.0 * gamma / (root + abs(t)), 0.5 * (t + root))
+
+
+# t*t is finite for |t| up to this.
+_SQUARE_SAFE = 1.34e154
 
 
 def _burg_scalar():
@@ -422,7 +449,7 @@ def _boltzmann_shannon_forms(m):
     return _Forms(
         deriv=m.log,
         deriv_inv=m.exp,
-        deriv2=lambda t: 1.0 / t,
+        deriv2=m.recip,
         prox_fn=lambda t, gamma: gamma * m.lambert_w_of_exp(t / gamma - m.log(gamma)),
     )
 
@@ -444,7 +471,7 @@ def _fermi_dirac_forms(m):
     return _Forms(
         deriv=lambda t: m.log(t) - m.log(1.0 - t),
         deriv_inv=m.logistic,
-        deriv2=lambda t: 1.0 / (t * (1.0 - t)),
+        deriv2=lambda t: m.recip(t * (1.0 - t)),
     )
 
 

@@ -121,7 +121,7 @@ def fr_gauge_bound(f, g_star, phi, psi_star, L, gamma, x, y_star):
         "component_primal": max(comp_x, 0.0),
         "component_dual": max(comp_y, 0.0),
         "residual": max(diag_x["residual"], diag_y["residual"]),
-        "near_boundary": not (f._inside(zx) and g_star._inside(zy)),
+        "near_boundary": f._near_boundary(zx) or g_star._near_boundary(zy),
     }
     return _finalize(
         comp_x + comp_y, np.concatenate([zx, zy]), "fr_gauge", gamma, diag

@@ -11,25 +11,29 @@ their domains:
    kernel, a gradient with second derivatives, the R^2 rotation example):
    damped Newton on W.jacobian + gamma*A.jacobian.
 
-Scalar inclusions are solved by guaranteed sign-change bracketing followed
-by a safeguarded Newton/bisection loop; strict monotonicity of W + gamma*A
-makes the bracketing sound. Separable problems with at least
-_ELEMENTWISE_MIN_DIM coordinates run that algorithm on all coordinates at
-once over arrays; smaller ones run it coordinate by coordinate, which
-costs less there.
+A scalar equation g(z) = target on an open interval (lo, hi) is solved
+as g(c(t)) = target in the coordinate t of the interval's chart
+c: R -> (lo, hi): the identity on R, lo + e^t or hi - e^-t on a half-line,
+lo + (hi - lo)/(1 + e^-t) on a bounded interval. Over the t of the floats
+inside the interval, bracketing (sound by strict monotonicity of
+W + gamma*A) and safeguarded Newton/bisection in t reach every float, in
+log steps near a barrier's edge. A root between a finite end and the
+float nearest it raises NoSolutionError, a root between two floats of
+which neither meets the tolerance ConvergenceError. From
+_ELEMENTWISE_MIN_DIM coordinates on, a separable problem runs this on
+all coordinates at once over arrays, below coordinate by coordinate.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .core import DomainError, as_vector
+from .functions import _MATH, _NUMPY
 from .operators import GradientOp, MonotoneOperator
 
-# Open domains are shrunk by this much before bracketing, so the solver
-# never evaluates a barrier at (or across) its singularity.
-_SHRINK = 1e-13
 # Absolute residual tolerance, scaled by 1 + |right-hand side|.
 _ATOL = 1e-12
 # Iteration budget of the bracket search and of the Newton loops.
@@ -85,236 +89,233 @@ class _StackedProblem(ResolventProblem):
     rows: int
 
 
-def _shrunk(interval):
-    lo, hi = interval
-    lo_eff = lo + _SHRINK * max(1.0, abs(lo)) if np.isfinite(lo) else lo
-    hi_eff = hi - _SHRINK * max(1.0, abs(hi)) if np.isfinite(hi) else hi
-    return lo_eff, hi_eff
+def _chart(m, lo, hi, lo_finite, hi_finite):
+    """The chart c: R -> (lo, hi) over the backend m as (c, dc, inverse), dc(z) being
+    c'(t) at z = c(t); the ends are floats or arrays, finite as the flags say."""
+    if lo_finite and hi_finite:
+        w = hi - lo
+
+        def bounded(t):
+            # lo + w/(1 + e^-t), formed from the end t points toward, so
+            # that every float near either end is an image.
+            side = w * m.logistic(-abs(t))
+            return m.where(t > 0, hi - side, lo + side)
+
+        return (bounded, lambda z: (z - lo) * (hi - z) / w,
+                lambda z: m.log(z - lo) - m.log(hi - z))
+    if lo_finite:
+        return lambda t: lo + m.exp(t), lambda z: z - lo, lambda z: m.log(z - lo)
+    if hi_finite:
+        return lambda t: hi - m.exp(-t), lambda z: hi - z, lambda z: -m.log(hi - z)
+    return lambda t: t, lambda z: 1.0, lambda z: z
+
+
+def _t_range(c, inverse, lo, hi):
+    """c^-1 of the first and last floats inside (lo, hi), stepped in where c rounds out."""
+    t_lo, t_hi = inverse(np.nextafter(lo, hi)), inverse(np.nextafter(hi, lo))
+    while not (np.all(c(t_lo) > lo) and np.all(c(t_hi) < hi)):
+        t_lo = np.where(c(t_lo) > lo, t_lo, np.nextafter(t_lo, math.inf))
+        t_hi = np.where(c(t_hi) < hi, t_hi, np.nextafter(t_hi, -math.inf))
+    return t_lo, t_hi
+
+
+@lru_cache(maxsize=64)
+def _interval_chart(lo, hi, arrays=False):
+    """(c, dc, inverse, t_lo, t_hi) of (lo, hi) over floats, or over arrays inside it."""
+    c, dc, inverse = _chart(_NUMPY if arrays else _MATH, lo, hi,
+                            math.isfinite(lo), math.isfinite(hi))
+    t_lo, t_hi = _t_range(c, inverse, lo, hi)
+    return c, dc, inverse, float(t_lo), float(t_hi)
+
+
+def _array_chart(lo, hi):
+    """_interval_chart for the intervals (lo[i], hi[i]), one chart per kind of interval."""
+    if (lo == lo[0]).all() and (hi == hi[0]).all():
+        return _interval_chart(float(lo[0]), float(hi[0]), arrays=True)
+    kind = np.isfinite(lo) + 2 * np.isfinite(hi)
+    masks = [kind == k for k in np.unique(kind)]
+    charts = [_chart(_NUMPY, lo[m], hi[m], kind[m][0] & 1, kind[m][0] & 2) for m in masks]
+    c, dc, inverse = (partial(np.piecewise, condlist=masks, funclist=[f[j] for f in charts])
+                      for j in range(3))
+    return (c, dc, inverse, *_t_range(c, inverse, lo, hi))
+
+
+def _slope(dg, dc, z):
+    """The Newton slope dg(z) * c'(t) at z = c(t); 0, a bisection step, where dg overflows."""
+    try:
+        return dg(z) * dc(z)
+    except DomainError:
+        return 0.0
+
+
+def _no_root(below, end):
+    """The error of a bracket search that met no sign change toward ``end``."""
+    return NoSolutionError(
+        f"no float inside the domain meets the target: the root lies between the edge "
+        f"{float(end)!r} and the float nearest it" if math.isfinite(end) else
+        f"no sign change found toward the {'lower' if below else 'upper'} boundary")
 
 
 def solve_scalar_increasing(g, dg, interval, target, tol, x0=None):
     """Root of the strictly increasing g(z) = target on an open interval.
 
-    Brackets by geometric expansion from x0, then runs bisection refined
-    by Newton steps whenever the derivative is available and the step
-    stays inside the bracket.
+    Solves g(c(t)) = target in the chart coordinate t, from the preimage
+    of x0 when x0 lies inside the interval, else from t = 0: geometric
+    bracket steps clamped to the t range, then bisection in t refined by
+    Newton steps of slope dg(z) * c'(t) that stay inside the bracket.
     """
-    lo, hi = _shrunk(interval)
-    if x0 is None:
-        if np.isfinite(lo) and np.isfinite(hi):
-            x0 = 0.5 * (lo + hi)
-        elif np.isfinite(lo):
-            x0 = lo + max(1.0, abs(lo))
-        elif np.isfinite(hi):
-            x0 = hi - max(1.0, abs(hi))
-        else:
-            x0 = 0.0
-    x0 = min(max(x0, lo), hi)
-
-    f0 = g(x0) - target
+    lo, hi = interval
+    c, dc, inverse, t_lo, t_hi = _interval_chart(float(lo), float(hi))
+    t0 = 0.0
+    if x0 is not None and lo < x0 < hi:
+        t0 = min(max(inverse(x0), t_lo), t_hi)
+    z = c(t0)
+    f0 = g(z) - target
     if abs(f0) <= tol:
-        return x0
+        return z
 
-    if f0 > 0:
-        # Root lies to the left.
-        b, fb = x0, f0
-        a = None
-        step = max(1.0, abs(x0))
-        for k in range(_MAX_ITER):
-            if np.isfinite(lo):
-                cand = lo + (x0 - lo) / _BRACKET_EXPAND ** (k + 1)
-            else:
-                cand = x0 - step * _BRACKET_EXPAND**k
-            fc = g(cand) - target
-            if fc <= 0:
-                a, fa = cand, fc
-                break
-            b, fb = cand, fc
-        if a is None:
-            raise NoSolutionError("no sign change found toward the lower boundary")
+    # Bracket search down toward t_lo when f0 > 0, else up toward t_hi;
+    # ``prev`` is the last point before the sign change.
+    down = f0 > 0
+    end = t_lo if down else t_hi
+    step = (-1.0 if down else 1.0) * max(1.0, abs(t0))
+    prev, f_prev = t0, f0
+    for k in range(_MAX_ITER):
+        cand = t0 + step * _BRACKET_EXPAND**k
+        cand = max(cand, end) if down else min(cand, end)
+        fc = g(c(cand)) - target
+        if (fc <= 0) if down else (fc >= 0):
+            break
+        if cand == end:
+            if abs(fc) <= tol:
+                return c(cand)
+            raise _no_root(down, lo if down else hi)
+        prev, f_prev = cand, fc
     else:
-        a, fa = x0, f0
-        b = None
-        step = max(1.0, abs(x0))
-        for k in range(_MAX_ITER):
-            if np.isfinite(hi):
-                cand = hi - (hi - x0) / _BRACKET_EXPAND ** (k + 1)
-            else:
-                cand = x0 + step * _BRACKET_EXPAND**k
-            fc = g(cand) - target
-            if fc >= 0:
-                b, fb = cand, fc
-                break
-            a, fa = cand, fc
-        if b is None:
-            raise NoSolutionError("no sign change found toward the upper boundary")
+        raise _no_root(down, lo if down else hi)
+    a, fa, b, fb = (cand, fc, prev, f_prev) if down else (prev, f_prev, cand, fc)
 
-    if abs(fa) <= tol:
-        return a
-    if abs(fb) <= tol:
-        return b
-
-    # Safeguarded Newton within the bracket [a, b], fa < 0 < fb.
+    # Safeguarded Newton within the bracket [a, b], fa < 0 < fb, from its
+    # end nearer the root, until no float lies strictly between a and b.
     x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+    z = c(x)
     for _ in range(_MAX_ITER):
-        took_newton = False
+        if abs(fx) <= tol:
+            return z
+        x_new = 0.5 * (a + b)
+        if not a < x_new < b:
+            raise ConvergenceError(f"bracket collapsed with residual {abs(fx):.3e} > tol {tol:.3e}")
         if dg is not None:
-            slope = dg(x)
-            if slope > 0:
-                cand = x - fx / slope
-                if a < cand < b:
-                    x_new = cand
-                    took_newton = True
-        if not took_newton:
-            x_new = 0.5 * (a + b)
-        fx_new = g(x_new) - target
-        if abs(fx_new) <= tol:
-            return x_new
-        if fx_new < 0:
-            a, fa = x_new, fx_new
-        else:
-            b, fb = x_new, fx_new
-        x, fx = x_new, fx_new
-        if b - a <= 1e-16 * max(1.0, abs(x)):
-            if abs(fx) <= tol:
-                return x
-            raise ConvergenceError(
-                f"bracket collapsed with residual {abs(fx):.3e} > tol {tol:.3e}"
-            )
+            slope = _slope(dg, dc, z)
+            if slope > 0 and a < (cand := x - fx / slope) < b:
+                x_new = cand
+        x, z = x_new, c(x_new)
+        fx = g(z) - target
+        a, b = (x, b) if fx < 0 else (a, x)
     raise ConvergenceError("iteration budget exhausted in scalar solve")
 
 
 # Failure codes of the elementwise solver, in the order of its steps.
-_NO_ROOT_BELOW, _NO_ROOT_ABOVE, _COLLAPSED, _BUDGET = 1, 2, 3, 4
-
-
-def _shrunk_arrays(lo, hi, n):
-    lo = np.array(np.broadcast_to(lo, (n,)), dtype=float)
-    hi = np.array(np.broadcast_to(hi, (n,)), dtype=float)
-    f = np.isfinite(lo)
-    lo[f] += _SHRINK * np.maximum(1.0, np.abs(lo[f]))
-    f = np.isfinite(hi)
-    hi[f] -= _SHRINK * np.maximum(1.0, np.abs(hi[f]))
-    return lo, hi
-
-
-def _default_starts(x0, lo, hi):
-    """Fill the NaN entries of x0 with the scalar solver's default start."""
-    none = np.isnan(x0)
-    if not none.any():
-        return
-    flo, fhi = np.isfinite(lo), np.isfinite(hi)
-    both = none & flo & fhi
-    x0[both] = 0.5 * (lo[both] + hi[both])
-    below = none & flo & ~fhi
-    x0[below] = lo[below] + np.maximum(1.0, np.abs(lo[below]))
-    above = none & ~flo & fhi
-    x0[above] = hi[above] - np.maximum(1.0, np.abs(hi[above]))
-    x0[none & ~flo & ~fhi] = 0.0
+_NO_ROOT, _COLLAPSED, _BUDGET = 1, 2, 3
 
 
 def solve_increasing_elementwise(g, dg, lo, hi, target, tol, x0=None):
     """solve_scalar_increasing for many coordinates at once.
 
-    Coordinate i solves g(z)[i] = target[i] on the open interval
-    (lo[i], hi[i]), where g(z) and dg(z) evaluate increasing functions of
-    each coordinate and their derivatives on a whole vector. lo, hi and
-    tol broadcast against target; NaN entries of x0 take the default
-    start. Each coordinate takes the steps of the scalar solver, geometric
-    bracket expansion and then Newton steps safeguarded by bisection,
-    while a mask marks the unfinished ones. A failure raises what the
-    scalar solver raises at the lowest failing coordinate.
+    Coordinate i solves g(z)[i] = target[i] on (lo[i], hi[i]), where g and
+    dg evaluate increasing functions of each coordinate and their
+    derivatives on a whole vector. lo, hi and tol broadcast against
+    target; entries of x0 that are NaN or outside their interval start
+    from t = 0. A failure raises what the scalar solver raises at the
+    lowest failing coordinate.
     """
     target = np.asarray(target, dtype=float)
     n = target.shape[0]
     tol = np.broadcast_to(np.asarray(tol, dtype=float), (n,))
-    lo, hi = _shrunk_arrays(lo, hi, n)
-    x0 = np.full(n, np.nan) if x0 is None else np.array(x0, dtype=float)
-    _default_starts(x0, lo, hi)
-    x0 = np.minimum(np.maximum(x0, lo), hi)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,))
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,))
+    c, dc, inverse, t_lo, t_hi = _array_chart(lo, hi)
+    t0 = np.zeros(n)
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        start = (lo < x0) & (x0 < hi)
+        if start.any():
+            t0 = inverse(x0 if start.all() else np.where(start, x0, c(t0)))
+            t0 = np.minimum(np.maximum(np.where(start, t0, 0.0), t_lo), t_hi)
     failure = np.zeros(n, dtype=np.int8)
-    residual = np.zeros(n)
 
-    f0 = g(x0) - target
+    f0 = g(c(t0)) - target
     done = np.abs(f0) <= tol
-    root = x0
+    root = t0
 
-    # Bracket search. Coordinates with f0 > 0 search down toward lo, the
-    # others up toward hi; toward an infinite end the steps grow, toward a
-    # finite one each step halves the distance to it. ``hit`` is the first
-    # point past the sign change, ``prev`` the last one before it.
+    # Bracket search as in the scalar solver: ``hit`` is the first point
+    # past the sign change, ``prev`` the last one before it.
     down = f0 > 0
-    edge = np.where(down, lo, hi)
-    bounded = np.isfinite(edge)
-    edge[~bounded] = 0.0
-    step = np.where(down, -1.0, 1.0) * np.maximum(1.0, np.abs(x0))
-    prev, f_prev, hit, f_hit = x0, f0, x0, f0
+    end = np.where(down, t_lo, t_hi)
+    step = np.where(down, -1.0, 1.0) * np.maximum(1.0, np.abs(t0))
+    prev, f_prev, hit, f_hit = t0, f0, t0, f0
     active = ~done
     for k in range(_MAX_ITER):
         if not active.any():
             break
-        cand = np.where(bounded, edge + (x0 - edge) / _BRACKET_EXPAND ** (k + 1),
-                        x0 + step * _BRACKET_EXPAND**k)
-        # A finished search stays at its last point instead of stepping on
-        # toward an end where g may overflow.
-        cand = np.where(active, cand, prev)
-        fc = g(cand) - target
+        cand = t0 + step * _BRACKET_EXPAND**k
+        cand = np.where(active, np.where(down, np.maximum(cand, end), np.minimum(cand, end)),
+                        prev)
+        fc = g(c(cand)) - target
         found = active & np.where(down, fc <= 0, fc >= 0)
         hit, f_hit = np.where(found, cand, hit), np.where(found, fc, f_hit)
+        at_end = active & ~found & (cand == end)
+        if at_end.any():
+            at_root = at_end & (np.abs(fc) <= tol)
+            root = np.where(at_root, cand, root)
+            done |= at_root
+            failure[at_end & ~at_root] = _NO_ROOT
+            active &= ~at_end
         active &= ~found
         prev, f_prev = np.where(active, cand, prev), np.where(active, fc, f_prev)
-    failure[active] = np.where(down[active], _NO_ROOT_BELOW, _NO_ROOT_ABOVE)
-
-    a, fa = np.where(down, hit, prev), np.where(down, f_hit, f_prev)
-    b, fb = np.where(down, prev, hit), np.where(down, f_prev, f_hit)
-    active = ~(done | active)
-    at_a = active & (np.abs(fa) <= tol)
-    at_b = active & ~at_a & (np.abs(fb) <= tol)
-    root = np.where(at_a, a, np.where(at_b, b, root))
-    active &= ~(at_a | at_b)
+    failure[active] = _NO_ROOT
 
     # Safeguarded Newton within the brackets [a, b], fa < 0 < fb. The
-    # points of finished coordinates stay inside their last bracket.
+    # coordinates finished before it wait at their start, and those that
+    # finish in it stay where they finished.
+    a, fa = np.where(down, hit, prev), np.where(down, f_hit, f_prev)
+    b, fb = np.where(down, prev, hit), np.where(down, f_prev, f_hit)
     use_a = np.abs(fa) < np.abs(fb)
     x, fx = np.where(use_a, a, b), np.where(use_a, fa, fb)
+    active = ~done & (failure == 0)
+    a, b, x = np.where(active, a, t0), np.where(active, b, t0), np.where(active, x, t0)
+    z = c(x)
     for _ in range(_MAX_ITER):
-        if not active.any():
-            break
-        x_new = 0.5 * (a + b)
-        if dg is not None:
-            slope = dg(x)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                cand = x - fx / slope
-            x_new = np.where((slope > 0) & (a < cand) & (cand < b), cand, x_new)
-        x = x_new
-        fx = g(x) - target
-        below = fx < 0
-        a = np.where(active & below, x, a)
-        b = np.where(active & ~below, x, b)
         converged = active & (np.abs(fx) <= tol)
         root = np.where(converged, x, root)
         active &= ~converged
-        collapsed = active & (b - a <= 1e-16 * np.maximum(1.0, np.abs(x)))
-        if collapsed.any():
-            failure[collapsed] = _COLLAPSED
-            residual[collapsed] = np.abs(fx[collapsed])
-            active &= ~collapsed
+        x_new = 0.5 * (a + b)
+        collapsed = active & ~((a < x_new) & (x_new < b))
+        failure[collapsed] = _COLLAPSED
+        active &= ~collapsed
+        if not active.any():
+            break
+        if dg is not None:
+            slope = _slope(dg, dc, z)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                cand = x - fx / slope
+            x_new = np.where((slope > 0) & (a < cand) & (cand < b), cand, x_new)
+        x = np.where(active, x_new, x)
+        z = c(x)
+        fx = g(z) - target
+        a, b = np.where(active & (fx < 0), x, a), np.where(active & (fx >= 0), x, b)
     failure[active] = _BUDGET
 
     failed = np.flatnonzero(failure)
     if failed.shape[0]:
         i = failed[0]
-        code = failure[i]
-        if code == _NO_ROOT_BELOW:
-            raise NoSolutionError("no sign change found toward the lower boundary")
-        if code == _NO_ROOT_ABOVE:
-            raise NoSolutionError("no sign change found toward the upper boundary")
-        if code == _COLLAPSED:
+        if failure[i] == _NO_ROOT:
+            raise _no_root(down[i], lo[i] if down[i] else hi[i])
+        if failure[i] == _COLLAPSED:
             raise ConvergenceError(
-                f"bracket collapsed with residual {residual[i]:.3e} > tol {tol[i]:.3e}"
-            )
+                f"bracket collapsed with residual {abs(fx[i]):.3e} > tol {tol[i]:.3e}")
         raise ConvergenceError("iteration budget exhausted in scalar solve")
-    return root
+    return c(root)
 
 
 def solve_resolvent(problem):
@@ -355,10 +356,11 @@ def solve_resolvent(problem):
                 w, dw, w_inv, w_inv_dom = wt.term(i)
                 a, da, _, _ = at.term(i)
                 g = lambda t, w=w, a=a: w(t) + gamma * a(t)
-                dg = None
-                if dw is not None and da is not None:
-                    dg = lambda t, dw=dw, da=da: dw(t) + gamma * da(t)
-                x0 = _initial_guess(w_inv, w_inv_dom, rhs[i], gamma, interval)
+                dg = None if dw is None or da is None else (
+                    lambda t, dw=dw, da=da: dw(t) + gamma * da(t))
+                # Start from the kernel term's inverse at r/(1+gamma).
+                s = rhs[i] / (1.0 + gamma)
+                x0 = w_inv(s) if w_inv is not None and w_inv_dom[0] < s < w_inv_dom[1] else None
                 z[i] = solve_scalar_increasing(g, dg, interval, rhs[i], tol_i, x0=x0)
         else:
             z = _solve_separable(wt, at, gamma, rhs, tol, lo, hi)
@@ -380,58 +382,34 @@ def _row_tol(v, rows):
     return _ATOL * (1.0 + np.abs(v).reshape(rows, -1).max(axis=1))
 
 
-def _initial_guess(inverse, inverse_dom, r, gamma, interval):
-    """Domain-interior start: the kernel term's inverse at r/(1+gamma),
-    when the term has one."""
-    if inverse is None:
-        return None
-    s = r / (1.0 + gamma)
-    lo, hi = inverse_dom
-    if lo < s < hi:
-        cand = inverse(s)
-        lo_eff, hi_eff = _shrunk(interval)
-        if lo_eff < cand < hi_eff:
-            return cand
-    return None
-
-
 def _solve_separable(wt, at, gamma, rhs, tol, lo, hi):
     """The separable resolvent on the box (lo, hi), all coordinates in one
     elementwise solve, each started from the kernel term's inverse at
     r/(1+gamma) when it has one and that lands inside the box."""
     g = lambda z: wt.value(z) + gamma * at.value(z)
-    dg = None
-    if wt.deriv is not None and at.deriv is not None:
-        dg = lambda z: wt.deriv(z) + gamma * at.deriv(z)
-    x0 = np.full(rhs.shape[0], np.nan)
+    dg = None if wt.deriv is None or at.deriv is None else (
+        lambda z: wt.deriv(z) + gamma * at.deriv(z))
+    x0 = None
     if wt.inverse is not None:
         s = rhs / (1.0 + gamma)
         usable = (wt.inv_lo < s) & (s < wt.inv_hi)
         if not usable.all():
             # Entries outside the inverse's interval evaluate it at an
-            # interior point instead, and keep the default start.
-            inside = np.full(s.shape[0], np.nan)
-            _default_starts(inside, wt.inv_lo, wt.inv_hi)
-            s = np.where(usable, s, inside)
-        cand = wt.inverse(s)
-        lo_eff, hi_eff = _shrunk_arrays(lo, hi, lo.shape[0])
-        usable &= (lo_eff < cand) & (cand < hi_eff)
-        x0[usable] = cand[usable]
+            # interior point instead, and start from t = 0.
+            s = np.where(usable, s, _array_chart(wt.inv_lo, wt.inv_hi)[0](np.zeros_like(s)))
+        x0 = np.where(usable, wt.inverse(s), np.nan)
     return solve_increasing_elementwise(g, dg, lo, hi, rhs, tol, x0)
 
 
 def _solve_newton(W, A, gamma, rhs, tol, lo, hi):
-    """Damped Newton on W(z) + gamma*A(z) = rhs with the Jacobian
-    W.jacobian + gamma*A.jacobian, started at the scalar solver's default
-    start of each interval of the box (lo, hi) and kept inside it, until
-    each coordinate of the residual is within its entry of tol."""
+    """Damped Newton on W(z) + gamma*A(z) = rhs with the Jacobian W.jacobian +
+    gamma*A.jacobian, from c(0) of each interval's chart and strictly inside
+    the box (lo, hi), until each residual is within its entry of tol."""
 
     def F(z):
         return W._apply(z) + gamma * A._apply(z) - rhs
 
-    lo, hi = _shrunk_arrays(lo, hi, rhs.shape[0])
-    z = np.full(rhs.shape[0], np.nan)
-    _default_starts(z, lo, hi)
+    z = _array_chart(lo, hi)[0](np.zeros_like(rhs))
     fz = F(z)
     for _ in range(_MAX_ITER):
         jw, ja = W.jacobian(z), A.jacobian(z)
@@ -475,13 +453,9 @@ def _prox_part(p, gamma, t, tol=None):
     when it carries one, else the generic monotone solve."""
     if p.prox_fn is not None:
         return p.prox_fn(t, gamma)
-    if tol is None:
-        tol = _ATOL * (1.0 + abs(t))
-    g = lambda z: z + gamma * p.deriv(z)
-    dg = None
-    if p.deriv2 is not None:
-        dg = lambda z: 1.0 + gamma * p.deriv2(z)
-    return solve_scalar_increasing(g, dg, p.dom, t, tol)
+    dg = None if p.deriv2 is None else (lambda z: 1.0 + gamma * p.deriv2(z))
+    return solve_scalar_increasing(lambda z: z + gamma * p.deriv(z), dg, p.dom, t,
+                                   _ATOL * (1.0 + abs(t)) if tol is None else tol)
 
 
 def _prox_part_array(p, gamma, t, tol=None):
@@ -491,17 +465,14 @@ def _prox_part_array(p, gamma, t, tol=None):
     generic solve elementwise."""
     if t.shape[0] < _ELEMENTWISE_MIN_DIM:
         tols = [None] * t.shape[0] if tol is None else tol.tolist()
-        return np.array([_prox_part(p, gamma, ti, tol_i)
-                         for ti, tol_i in zip(t.tolist(), tols)], dtype=float)
+        return np.array([_prox_part(p, gamma, ti, tol_i) for ti, tol_i in zip(t.tolist(), tols)])
     if p.prox_fn is not None:
         return p.arrays.prox_fn(t, gamma)
     if tol is None:
         tol = _ATOL * (1.0 + np.abs(t))
-    g = lambda z: z + gamma * p.arrays.deriv(z)
-    dg = None
-    if p.deriv2 is not None:
-        dg = lambda z: 1.0 + gamma * p.arrays.deriv2(z)
-    return solve_increasing_elementwise(g, dg, p.dom[0], p.dom[1], t, tol)
+    f = p.arrays
+    dg = None if f.deriv2 is None else (lambda z: 1.0 + gamma * f.deriv2(z))
+    return solve_increasing_elementwise(lambda z: z + gamma * f.deriv(z), dg, *p.dom, t, tol)
 
 
 def prox(phi, gamma, x):
@@ -527,8 +498,8 @@ def bregman_prox(f, phi, gamma, s):
     """Solve grad f(z) + gamma * grad phi(z) = s coordinatewise.
 
     The start point is deriv_inv(s_i/(1+gamma)) of the kernel part when
-    that lands inside the domain, else the domain midpoint; an interior
-    start is mandatory for log-type barriers. The problem checks gamma.
+    that lands inside the domain, else c(0) of the domain's chart. The
+    problem checks gamma.
     """
     s = as_vector(s)
     W, A = GradientOp(f), GradientOp(phi)

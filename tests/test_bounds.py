@@ -255,6 +255,29 @@ class TestDiagnostics:
         assert b.z[0] == 0.0
         assert 0.0 <= b.value <= exact_fenchel_young(fd, p)
 
+    def test_near_boundary_on_the_generic_route(self):
+        # Kernel Boltzmann-Shannon over its own gradient takes the generic
+        # solve; z = sqrt(x e^u*) = 1e-20 lies within BOUNDARY_TOL of 0.
+        bs = functions.boltzmann_shannon()
+        u = 2.0 * math.log(1e-20) - math.log(0.5)
+        b = bound_bregman(bs, SubdifferentialOp(bs), DualPair([0.5], [u]), 1.0)
+        assert b.method == "bregman" and b.z[0] == pytest.approx(1e-20, rel=1e-9)
+        assert b.diagnostics["near_boundary"] is True
+        assert b.diagnostics["residual"] <= 1e-12 * (1.0 + abs(u + math.log(0.5)))
+        b = bound_bregman(bs, SubdifferentialOp(bs), DualPair([0.5], [0.0]), 1.0)
+        assert b.diagnostics["near_boundary"] is False
+
+    def test_crosscheck_reaches_a_closed_form_root_next_to_the_edge(self):
+        # zeta = 7.1e-224: the generic solve reaches it through the chart
+        # of (0, 1), and the residual at it is finite.
+        b = bound_bregman(functions.fermi_dirac(),
+                          SubdifferentialOp(functions.boltzmann_shannon()),
+                          DualPair([1e-12], [-1000.0]), 1.0)
+        assert b.method == "fermi_dirac_closed" and b.z[0] == pytest.approx(7.1e-224, rel=1e-2)
+        assert b.diagnostics["solver_z_gap"] <= 1e-230
+        assert b.diagnostics["residual"] <= 1e-12 * 1001.0
+        assert b.diagnostics["near_boundary"] is True
+
     def test_residual_reported(self):
         burg = functions.burg()
         p = DualPair([1.0], [-0.5])

@@ -155,6 +155,15 @@ class TestFRGauge:
             assert b.diagnostics["component_primal"] == pytest.approx(ref_x, rel=1e-12)
             assert b.diagnostics["component_dual"] == pytest.approx(ref_y, rel=1e-12)
 
+    def test_near_boundary(self):
+        # The primal block solves 2 ln z = ln x: z = 1e-20 for x = 1e-40.
+        bs, q, L0 = functions.boltzmann_shannon(1), functions.quadratic(1), np.zeros((1, 1))
+        b = fr_gauge_bound(bs, q, bs, q, L0, 1.0, [1e-40], [0.0])
+        assert b.z[0] == pytest.approx(1e-20, rel=1e-9)
+        assert b.diagnostics["near_boundary"] is True
+        b = fr_gauge_bound(bs, q, bs, q, L0, 1.0, [0.25], [0.0])
+        assert b.diagnostics["near_boundary"] is False
+
     def test_gamma_validation(self):
         f = functions.quadratic(1)
         with pytest.raises(ValueError):
