@@ -176,11 +176,17 @@ def _fermi_dirac_root(x, u, gamma):
     start = np.empty_like(log_r)
     start[band] = np.log(zeta[band]) - np.log1p(-zeta[band])
     start[tail] = log_z - log_1mz
-    h = lambda t: t - gamma * np.logaddexp(0.0, -t)
-    dh = lambda t: 1.0 + gamma * math.exp(-np.logaddexp(0.0, t))
-    logit = np.array([solve_scalar_increasing(h, dh, (-math.inf, math.inf), target,
-                                              1e-13 * (1.0 + abs(target)), x0=t0)
-                      for target, t0 in zip(log_r.tolist(), start.tolist())])
+    logit = np.array([
+        solve_scalar_increasing(
+            lambda t: t - gamma * np.logaddexp(0.0, -t),
+            lambda t: 1.0 + gamma * math.exp(-np.logaddexp(0.0, t)),
+            (-math.inf, math.inf),
+            target,
+            1e-13 * (1.0 + abs(target)),
+            x0=t0,
+        )
+        for target, t0 in zip(log_r.tolist(), start.tolist())
+    ])
     log_z = -np.logaddexp(0.0, -logit)
     return np.exp(log_z), np.zeros_like(band), log_z, -np.logaddexp(0.0, logit)
 

@@ -16,10 +16,13 @@ as g(c(t)) = target in the coordinate t of the interval's chart
 c: R -> (lo, hi): the identity on R, lo + e^t or hi - e^-t on a half-line,
 lo + (hi - lo)/(1 + e^-t) on a bounded interval. Over the t of the floats
 inside the interval, bracketing (sound by strict monotonicity of
-W + gamma*A) and safeguarded Newton/bisection in t reach every float, in
-log steps near a barrier's edge. A root between a finite end and the
-float nearest it raises NoSolutionError, a root between two floats of
-which neither meets the tolerance ConvergenceError. From
+W + gamma*A) and safeguarded Newton/bisection in t move in log steps near
+a barrier's edge and reach the first float inside each end; consecutive
+floats t map at most about 1.1e-13 apart relative to the distance from
+the nearer end. A trial point at which g overflows a float (raises
+DomainError) counts as past the root. A root between a finite end and the
+float nearest it raises NoSolutionError, a root between two consecutive
+chart points of which neither meets the tolerance ConvergenceError. From
 _ELEMENTWISE_MIN_DIM coordinates on, a separable problem runs this on
 all coordinates at once over arrays, below coordinate by coordinate.
 """
@@ -27,11 +30,11 @@ all coordinates at once over arrays, below coordinate by coordinate.
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from types import SimpleNamespace
 
 import numpy as np
 
 from .core import DomainError, as_vector
-from .functions import _MATH, _NUMPY
 from .operators import GradientOp, MonotoneOperator
 
 # Absolute residual tolerance, scaled by 1 + |right-hand side|.
@@ -89,6 +92,15 @@ class _StackedProblem(ResolventProblem):
     rows: int
 
 
+# The two backends of the charts. Both take exp and log from numpy, whose
+# vectorised exp differs from the C library's in the last bit on some
+# machines, so that the two solvers run the same float operations. Inside
+# a chart's t range exp does not overflow.
+_FLOAT_CHART = SimpleNamespace(exp=lambda t: float(np.exp(t)), log=lambda z: float(np.log(z)),
+                               where=lambda condition, a, b: a if condition else b)
+_ARRAY_CHART = SimpleNamespace(exp=np.exp, log=np.log, where=np.where)
+
+
 def _chart(m, lo, hi, lo_finite, hi_finite):
     """The chart c: R -> (lo, hi) over the backend m as (c, dc, inverse), dc(z) being
     c'(t) at z = c(t); the ends are floats or arrays, finite as the flags say."""
@@ -98,7 +110,8 @@ def _chart(m, lo, hi, lo_finite, hi_finite):
         def bounded(t):
             # lo + w/(1 + e^-t), formed from the end t points toward, so
             # that every float near either end is an image.
-            side = w * m.logistic(-abs(t))
+            e = m.exp(-abs(t))
+            side = w * e / (1.0 + e)
             return m.where(t > 0, hi - side, lo + side)
 
         return (bounded, lambda z: (z - lo) * (hi - z) / w,
@@ -122,7 +135,7 @@ def _t_range(c, inverse, lo, hi):
 @lru_cache(maxsize=64)
 def _interval_chart(lo, hi, arrays=False):
     """(c, dc, inverse, t_lo, t_hi) of (lo, hi) over floats, or over arrays inside it."""
-    c, dc, inverse = _chart(_NUMPY if arrays else _MATH, lo, hi,
+    c, dc, inverse = _chart(_ARRAY_CHART if arrays else _FLOAT_CHART, lo, hi,
                             math.isfinite(lo), math.isfinite(hi))
     t_lo, t_hi = _t_range(c, inverse, lo, hi)
     return c, dc, inverse, float(t_lo), float(t_hi)
@@ -134,7 +147,7 @@ def _array_chart(lo, hi):
         return _interval_chart(float(lo[0]), float(hi[0]), arrays=True)
     kind = np.isfinite(lo) + 2 * np.isfinite(hi)
     masks = [kind == k for k in np.unique(kind)]
-    charts = [_chart(_NUMPY, lo[m], hi[m], kind[m][0] & 1, kind[m][0] & 2) for m in masks]
+    charts = [_chart(_ARRAY_CHART, lo[m], hi[m], kind[m][0] & 1, kind[m][0] & 2) for m in masks]
     c, dc, inverse = (partial(np.piecewise, condlist=masks, funclist=[f[j] for f in charts])
                       for j in range(3))
     return (c, dc, inverse, *_t_range(c, inverse, lo, hi))
@@ -146,6 +159,28 @@ def _slope(dg, dc, z):
         return dg(z) * dc(z)
     except DomainError:
         return 0.0
+
+
+def _overflowing(g, z, safe):
+    """The coordinates at which g(z) overflows a float (g raises DomainError
+    there, next to a barrier's end), found by bisecting the coordinates while
+    the others are held at safe, where g is finite; g is separable."""
+    bad = np.zeros(z.shape[0], dtype=bool)
+
+    def bisect(idx):
+        probe = safe.copy()
+        probe[idx] = z[idx]
+        try:
+            g(probe)
+        except DomainError:
+            if idx.shape[0] == 1:
+                bad[idx] = True
+            else:
+                bisect(idx[: idx.shape[0] // 2])
+                bisect(idx[idx.shape[0] // 2:])
+
+    bisect(np.flatnonzero(z != safe))
+    return bad
 
 
 def _no_root(below, end):
@@ -183,7 +218,11 @@ def solve_scalar_increasing(g, dg, interval, target, tol, x0=None):
     for k in range(_MAX_ITER):
         cand = t0 + step * _BRACKET_EXPAND**k
         cand = max(cand, end) if down else min(cand, end)
-        fc = g(c(cand)) - target
+        try:
+            fc = g(c(cand)) - target
+        except DomainError:
+            # g overflows toward the end searched: past the root.
+            fc = -math.inf if down else math.inf
         if (fc <= 0) if down else (fc >= 0):
             break
         if cand == end:
@@ -204,15 +243,33 @@ def solve_scalar_increasing(g, dg, interval, target, tol, x0=None):
             return z
         x_new = 0.5 * (a + b)
         if not a < x_new < b:
-            raise ConvergenceError(f"bracket collapsed with residual {abs(fx):.3e} > tol {tol:.3e}")
+            raise ConvergenceError(
+                f"bracket collapsed with residual {abs(fx):.3e} > tol {tol:.3e}"
+            )
         if dg is not None:
             slope = _slope(dg, dc, z)
-            if slope > 0 and a < (cand := x - fx / slope) < b:
-                x_new = cand
+            if slope > 0:
+                cand = x - fx / slope
+                if a < cand < b:
+                    x_new = cand
         x, z = x_new, c(x_new)
-        fx = g(z) - target
+        try:
+            fx = g(z) - target
+        except DomainError:
+            fx = -math.inf if down else math.inf
         a, b = (x, b) if fx < 0 else (a, x)
     raise ConvergenceError("iteration budget exhausted in scalar solve")
+
+
+def _values(g, c, z, target, safe, overflow):
+    """g(z) - target over arrays, with the entry of overflow (-inf or +inf) at
+    each coordinate where g overflows; safe() gives a t at which g(c(t)) is finite."""
+    try:
+        return g(z) - target
+    except DomainError:
+        safe = c(safe())
+        bad = _overflowing(g, z, safe)
+        return np.where(bad, overflow, g(np.where(bad, safe, z)) - target)
 
 
 # Failure codes of the elementwise solver, in the order of its steps.
@@ -252,6 +309,7 @@ def solve_increasing_elementwise(g, dg, lo, hi, target, tol, x0=None):
     # past the sign change, ``prev`` the last one before it.
     down = f0 > 0
     end = np.where(down, t_lo, t_hi)
+    overflow = np.where(down, -math.inf, math.inf)
     step = np.where(down, -1.0, 1.0) * np.maximum(1.0, np.abs(t0))
     prev, f_prev, hit, f_hit = t0, f0, t0, f0
     active = ~done
@@ -261,7 +319,7 @@ def solve_increasing_elementwise(g, dg, lo, hi, target, tol, x0=None):
         cand = t0 + step * _BRACKET_EXPAND**k
         cand = np.where(active, np.where(down, np.maximum(cand, end), np.minimum(cand, end)),
                         prev)
-        fc = g(c(cand)) - target
+        fc = _values(g, c, c(cand), target, lambda: prev, overflow)
         found = active & np.where(down, fc <= 0, fc >= 0)
         hit, f_hit = np.where(found, cand, hit), np.where(found, fc, f_hit)
         at_end = active & ~found & (cand == end)
@@ -302,7 +360,7 @@ def solve_increasing_elementwise(g, dg, lo, hi, target, tol, x0=None):
             x_new = np.where((slope > 0) & (a < cand) & (cand < b), cand, x_new)
         x = np.where(active, x_new, x)
         z = c(x)
-        fx = g(z) - target
+        fx = _values(g, c, z, target, lambda: np.where(down, b, a), overflow)
         a, b = np.where(active & (fx < 0), x, a), np.where(active & (fx >= 0), x, b)
     failure[active] = _BUDGET
 
@@ -313,7 +371,8 @@ def solve_increasing_elementwise(g, dg, lo, hi, target, tol, x0=None):
             raise _no_root(down[i], lo[i] if down[i] else hi[i])
         if failure[i] == _COLLAPSED:
             raise ConvergenceError(
-                f"bracket collapsed with residual {abs(fx[i]):.3e} > tol {tol[i]:.3e}")
+                f"bracket collapsed with residual {abs(fx[i]):.3e} > tol {tol[i]:.3e}"
+            )
         raise ConvergenceError("iteration budget exhausted in scalar solve")
     return c(root)
 
@@ -356,8 +415,9 @@ def solve_resolvent(problem):
                 w, dw, w_inv, w_inv_dom = wt.term(i)
                 a, da, _, _ = at.term(i)
                 g = lambda t, w=w, a=a: w(t) + gamma * a(t)
-                dg = None if dw is None or da is None else (
-                    lambda t, dw=dw, da=da: dw(t) + gamma * da(t))
+                dg = None
+                if dw is not None and da is not None:
+                    dg = lambda t, dw=dw, da=da: dw(t) + gamma * da(t)
                 # Start from the kernel term's inverse at r/(1+gamma).
                 s = rhs[i] / (1.0 + gamma)
                 x0 = w_inv(s) if w_inv is not None and w_inv_dom[0] < s < w_inv_dom[1] else None
@@ -387,8 +447,9 @@ def _solve_separable(wt, at, gamma, rhs, tol, lo, hi):
     elementwise solve, each started from the kernel term's inverse at
     r/(1+gamma) when it has one and that lands inside the box."""
     g = lambda z: wt.value(z) + gamma * at.value(z)
-    dg = None if wt.deriv is None or at.deriv is None else (
-        lambda z: wt.deriv(z) + gamma * at.deriv(z))
+    dg = None
+    if wt.deriv is not None and at.deriv is not None:
+        dg = lambda z: wt.deriv(z) + gamma * at.deriv(z)
     x0 = None
     if wt.inverse is not None:
         s = rhs / (1.0 + gamma)
@@ -453,9 +514,13 @@ def _prox_part(p, gamma, t, tol=None):
     when it carries one, else the generic monotone solve."""
     if p.prox_fn is not None:
         return p.prox_fn(t, gamma)
-    dg = None if p.deriv2 is None else (lambda z: 1.0 + gamma * p.deriv2(z))
-    return solve_scalar_increasing(lambda z: z + gamma * p.deriv(z), dg, p.dom, t,
-                                   _ATOL * (1.0 + abs(t)) if tol is None else tol)
+    if tol is None:
+        tol = _ATOL * (1.0 + abs(t))
+    g = lambda z: z + gamma * p.deriv(z)
+    dg = None
+    if p.deriv2 is not None:
+        dg = lambda z: 1.0 + gamma * p.deriv2(z)
+    return solve_scalar_increasing(g, dg, p.dom, t, tol)
 
 
 def _prox_part_array(p, gamma, t, tol=None):
@@ -465,14 +530,17 @@ def _prox_part_array(p, gamma, t, tol=None):
     generic solve elementwise."""
     if t.shape[0] < _ELEMENTWISE_MIN_DIM:
         tols = [None] * t.shape[0] if tol is None else tol.tolist()
-        return np.array([_prox_part(p, gamma, ti, tol_i) for ti, tol_i in zip(t.tolist(), tols)])
+        return np.array([_prox_part(p, gamma, ti, tol_i)
+                         for ti, tol_i in zip(t.tolist(), tols)], dtype=float)
     if p.prox_fn is not None:
         return p.arrays.prox_fn(t, gamma)
     if tol is None:
         tol = _ATOL * (1.0 + np.abs(t))
-    f = p.arrays
-    dg = None if f.deriv2 is None else (lambda z: 1.0 + gamma * f.deriv2(z))
-    return solve_increasing_elementwise(lambda z: z + gamma * f.deriv(z), dg, *p.dom, t, tol)
+    g = lambda z: z + gamma * p.arrays.deriv(z)
+    dg = None
+    if p.deriv2 is not None:
+        dg = lambda z: 1.0 + gamma * p.arrays.deriv2(z)
+    return solve_increasing_elementwise(g, dg, p.dom[0], p.dom[1], t, tol)
 
 
 def prox(phi, gamma, x):

@@ -56,9 +56,11 @@ def test_every_method_bounds_or_raises_a_typed_error(draw):
 def test_the_cli_exits_with_the_code_of_the_error(capsys, draw, method):
     capsys.readouterr()
     name, x, u = _point(draw)
+    phi, p = functions.from_name(name), DualPair([x], [u])
     try:
-        bounds.fy_bound_dispatch(functions.from_name(name), None, DualPair([x], [u]), 1.0,
-                                 method)
+        # The library calls of the CLI's row: the bound and the exact value.
+        bounds.fy_bound_dispatch(phi, None, p, 1.0, method)
+        bounds.exact_fenchel_young(phi, p)
         expected = cli.EXIT_OK
     except DomainError:
         expected = cli.EXIT_CONFIG

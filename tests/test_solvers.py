@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import lambertw as scipy_lambertw
 
-from haraux import bounds, functions
+from haraux import bounds, functions, solvers
 from haraux.core import DomainError, DualPair
 from haraux.operators import (
     AffineOp,
@@ -16,6 +16,7 @@ from haraux.operators import (
     identity,
 )
 from haraux.solvers import (
+    _StackedProblem,
     ConvergenceError,
     NoSolutionError,
     ResolventProblem,
@@ -72,20 +73,18 @@ class TestScalarSolve:
 
 
 # Increasing functions for the elementwise-against-scalar comparison:
-# (g, dg, open domain, open range, bit-identical paths). Each g takes
-# floats and arrays alike. The two solvers run the same float operations
-# when g is arithmetic and the domain is R, whose chart is the identity;
-# on other domains the charts take exp and log from math and numpy, which
-# may differ in the last bit.
+# (g, dg, open domain, open range). Each g takes floats and arrays alike
+# through the same float operations, and the two solvers' charts take exp
+# and log from numpy on both paths, so the roots agree bit for bit.
 _INCREASING = {
     "burg": (lambda t: -1.0 / t, lambda t: 1.0 / (t * t), (0.0, math.inf),
-             (-math.inf, 0.0), False),
+             (-math.inf, 0.0)),
     "cubic": (lambda t: t * t * t + t, lambda t: 3.0 * t * t + 1.0, (-math.inf, math.inf),
-              (-math.inf, math.inf), True),
-    "log": (np.log, lambda t: 1.0 / t, (0.0, math.inf), (-math.inf, math.inf), False),
+              (-math.inf, math.inf)),
+    "log": (np.log, lambda t: 1.0 / t, (0.0, math.inf), (-math.inf, math.inf)),
     "logit": (lambda t: np.log(t) - np.log1p(-t), lambda t: 1.0 / (t * (1.0 - t)),
-              (0.0, 1.0), (-math.inf, math.inf), False),
-    "tanh": (np.tanh, None, (-math.inf, math.inf), (-1.0, 1.0), False),
+              (0.0, 1.0), (-math.inf, math.inf)),
+    "tanh": (np.tanh, None, (-math.inf, math.inf), (-1.0, 1.0)),
 }
 
 
@@ -106,7 +105,7 @@ def _edge_targets(g, dom, rng_):
 class TestElementwiseSolve:
     @pytest.mark.parametrize("name", sorted(_INCREASING))
     def test_matches_the_scalar_solver(self, name):
-        g, dg, dom, rng_, arithmetic = _INCREASING[name]
+        g, dg, dom, rng_ = _INCREASING[name]
         rng = np.random.default_rng(sorted(_INCREASING).index(name))
         lo_r = max(rng_[0], -50.0)
         hi_r = min(rng_[1], 50.0)
@@ -144,14 +143,12 @@ class TestElementwiseSolve:
             else:
                 z = elementwise([i])[0]
                 assert abs(g(z) - targets[i]) <= tol[i]
-                if arithmetic:
-                    assert z == expected[i]
+                assert z == expected[i]
         # All at once: the roots of the solvable coordinates, and the error
         # of the lowest failing coordinate when the batch has one.
         z = elementwise(solved)
         assert np.all(np.abs(g(z) - targets[solved]) <= tol[solved])
-        if arithmetic:
-            assert z.tolist() == [expected[i] for i in solved]
+        assert z.tolist() == [expected[i] for i in solved]
         if failing:
             with raises_as(expected[failing[0]]):
                 elementwise(slice(None))
@@ -199,6 +196,71 @@ class TestElementwiseSolve:
         stacked = np.array([z_of(1, i)[0] for i in range(1000)])
         for d in (_ELEMENTWISE_MIN_DIM, 1000):
             np.testing.assert_allclose(z_of(d), stacked[:d], rtol=1e-9, atol=atol)
+
+    def test_a_trial_point_where_g_overflows_is_past_the_root(self):
+        # Burg's gradient raises DomainError below z = 5.6e-309, where the
+        # bracket searches from z = 1 land for these targets. The roots,
+        # about 0.5/|target|, lie above that but for the last one.
+        part = functions.burg().parts[0]
+        g = lambda z: z + 0.5 * (part.arrays if isinstance(z, np.ndarray) else part).deriv(z)
+        targets = np.array([-1e10, -1e200, -1e300, -1e307, -1.7e308])
+        tol = 1e-12 * (1.0 + np.abs(targets))
+        roots = [solve_scalar_increasing(g, None, part.dom, t, tol_t)
+                 for t, tol_t in zip(targets[:4].tolist(), tol[:4].tolist())]
+        assert all(abs(g(z) - t) <= tol_t for z, t, tol_t in zip(roots, targets, tol))
+        z = solve_increasing_elementwise(g, None, *part.dom, targets[:4], tol[:4])
+        assert z.tolist() == roots
+        with pytest.raises(ConvergenceError, match="bracket collapsed"):
+            solve_scalar_increasing(g, None, part.dom, targets[4], tol[4])
+        with pytest.raises(ConvergenceError, match="bracket collapsed"):
+            solve_increasing_elementwise(g, None, *part.dom, targets[::-1], tol[::-1])
+
+    def test_mixed_charts_are_the_charts_of_each_interval(self):
+        # Coordinates whose intervals differ share one chart per kind of
+        # interval; each coordinate gets the t range and the chart values
+        # of its own interval.
+        ends = [(0.0, math.inf), (0.0, 1.0), (-math.inf, math.inf), (-math.inf, 2.0),
+                (-3.0, math.inf), (1e-300, 1.0)]
+        lo, hi = (np.array([ends[i % len(ends)][j] for i in range(40)]) for j in (0, 1))
+        c, dc, inverse, t_lo, t_hi = solvers._array_chart(lo, hi)
+        t = np.clip(np.linspace(-800.0, 800.0, 40), t_lo, t_hi)
+        z = c(t)
+        assert np.all((lo < z) & (z < hi))
+        for i in range(40):
+            ci, dci, inverse_i, t_lo_i, t_hi_i = solvers._interval_chart(lo[i], hi[i])
+            assert (t_lo[i], t_hi[i]) == (t_lo_i, t_hi_i)
+            assert lo[i] < c(t_lo)[i] and c(t_hi)[i] < hi[i]
+            assert z[i] == ci(float(t[i]))
+            assert dc(z)[i] == dci(float(z[i]))
+            assert inverse(z)[i] == inverse_i(float(z[i]))
+
+    @pytest.mark.parametrize("kernel", ["identity", "gradient"])
+    def test_mixed_intervals_match_the_scalar_solves(self, kernel):
+        # Interleaved burg, fermi_dirac and quadratic coordinates at d = 40:
+        # one elementwise solve over (0, inf), (0, 1) and R, with points
+        # whose roots lie up to 1e-200 from a finite end, gives the roots of
+        # the coordinate-by-coordinate solves at d = 1.
+        names = ["burg", "fermi_dirac", "quadratic"]
+        order = [names[i % 3] for i in range(40)]
+        rng = np.random.default_rng(5)
+        rhs = {"burg": lambda: -(10.0 ** rng.uniform(-2.0, 200.0)),
+               "fermi_dirac": lambda: rng.uniform(-350.0, 15.0),
+               "quadratic": lambda: rng.uniform(-5.0, 5.0)}
+        r = np.array([rhs[n]() for n in order])
+        gamma = 0.5
+
+        def problem(names_, r_):
+            f = functions.SeparableFunction([functions.from_name(n).parts[0] for n in names_])
+            ops = (identity(len(names_)), GradientOp(f))
+            W, A = ops if kernel == "identity" else ops[::-1]
+            # One block per coordinate: each held to its own tolerance.
+            return _StackedProblem(W, A, gamma, r_, len(names_))
+
+        z = solve_resolvent(problem(order, r))
+        single = np.array([solve_resolvent(problem([n], r[i:i + 1]))[0]
+                           for i, n in enumerate(order)])
+        assert np.all(np.abs(z - single) <= 1e-9 * np.abs(single) + 1e-12)
+        assert z[::3].min() < 1e-150
 
     @pytest.mark.parametrize("gamma", [0.5, 2.0])
     def test_fermi_dirac_over_entropy_does_not_depend_on_the_dimension(self, gamma):
