@@ -19,7 +19,10 @@ pinned to one thread. For each tree the report gives:
   the exact value plus slack);
 - ``runtime_warnings``: the points whose calls emitted a RuntimeWarning;
 - ``points_ok``: the points at which every call succeeded;
-- ``wall_s``: the wall time of the whole slice (the sum over points).
+- ``wall_s``: the wall time of the whole slice (the sum over points);
+- ``g_evaluations``: the number of scalar solves the slice runs
+  (``solve_scalar_increasing`` calls) and the total and largest number of
+  evaluations of g among them, counted by wrapping each solve's g.
 
 Every tree after the first is compared with the first call by call:
 ``changed`` counts the calls whose outcome moved from one class to
@@ -50,13 +53,42 @@ def _seeds(text):
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def _count_g_evaluations():
+    """Wrap solve_scalar_increasing, where the haraux on sys.path binds it,
+    so that each call appends the number of times it evaluates g to the
+    returned list."""
+    from haraux import bounds, solvers
+
+    counts, solve = [], solvers.solve_scalar_increasing
+
+    def counted(g, *args, **kwargs):
+        n = 0
+
+        def g_counted(z):
+            nonlocal n
+            n += 1
+            return g(z)
+
+        try:
+            return solve(g_counted, *args, **kwargs)
+        finally:
+            counts.append(n)
+
+    for module in (solvers, bounds):
+        if getattr(module, "solve_scalar_increasing", None) is solve:
+            module.solve_scalar_increasing = counted
+    return counts
+
+
 def measure(seeds):
     """Every call of the boundary slice at each seed, on the haraux on
-    sys.path: a dict with the records and the slice's wall time."""
+    sys.path: a dict with the records, the slice's wall time and the g
+    evaluations of its scalar solves."""
     sys.path.insert(0, PERFBENCH)
     import numpy as np
     import workloads
 
+    evaluations = _count_g_evaluations()
     w = workloads.Certify(reference=[])
     calls, wrong, warned, wall = [], [], 0, 0.0
     for seed in seeds:
@@ -79,7 +111,9 @@ def measure(seeds):
                 else:
                     rec.update(outcome="ok", route=r.method, value=float(r.value))
                 calls.append(rec)
-    return {"calls": calls, "wrong": wrong, "runtime_warnings": warned, "wall_s": wall}
+    return {"calls": calls, "wrong": wrong, "runtime_warnings": warned, "wall_s": wall,
+            "g_evaluations": {"solves": len(evaluations), "total": sum(evaluations),
+                              "max": max(evaluations, default=0)}}
 
 
 def summarize(run):
@@ -99,6 +133,7 @@ def summarize(run):
         "wrong": run["wrong"],
         "runtime_warnings": run["runtime_warnings"],
         "wall_s": run["wall_s"],
+        "g_evaluations": run["g_evaluations"],
         "table": table,
         "messages": dict(messages.most_common()),
     }

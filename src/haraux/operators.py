@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 
 from .core import INF, DomainError, as_vector
-from .functions import ScalarLegendre, SeparableFunction
+from .functions import _EXP_SAFE, ScalarLegendre, SeparableFunction
 
 
 @dataclass(frozen=True)
@@ -302,8 +302,10 @@ class Joca16Op(MonotoneOperator):
 
         (t1, t2) -> (beta*t1 - psi'(t1) - t2, t1 + beta*t2 - psi'(t2))
 
-    for a Legendre psi with a beta-Lipschitz derivative, checked on 200
-    interior grid points of the domain (clipped to [-10, 10]).
+    for a Legendre psi with a beta-Lipschitz derivative, checked on 201
+    points of the domain taken through its chart (evenly spaced in the
+    chart coordinate t, |t| <= 709), so log-spaced toward a finite end,
+    where a barrier's psi'' grows without bound.
     """
 
     def __init__(self, beta, psi):
@@ -311,15 +313,17 @@ class Joca16Op(MonotoneOperator):
             raise ValueError("beta must be positive")
         if not isinstance(psi, ScalarLegendre):
             raise TypeError("psi must be a ScalarLegendre")
+        from .solvers import _interval_chart
+
         lo, hi = psi.dom
-        a = lo if np.isfinite(lo) else -10.0
-        b = hi if np.isfinite(hi) else 10.0
-        grid = np.linspace(a, b, 202)[1:-1]
+        c, _, _, t_lo, t_hi = _interval_chart(float(lo), float(hi), arrays=True)
+        grid = c(np.linspace(max(t_lo, -_EXP_SAFE), min(t_hi, _EXP_SAFE), 201))
         d = psi.arrays.deriv(grid)
-        slopes = np.abs(np.diff(d) / np.diff(grid))
+        with np.errstate(over="ignore"):
+            slopes = np.abs(np.diff(d) / np.diff(grid))
         if slopes.max() > beta + 1e-8:
             raise ValueError(
-                f"psi' exceeds the Lipschitz constant beta={beta} on the grid"
+                f"psi' exceeds the Lipschitz constant beta={beta} on its domain"
             )
         self.beta = beta
         self.psi = psi

@@ -14,17 +14,22 @@ their domains:
 A scalar equation g(z) = target on an open interval (lo, hi) is solved
 as g(c(t)) = target in the coordinate t of the interval's chart
 c: R -> (lo, hi): the identity on R, lo + e^t or hi - e^-t on a half-line,
-lo + (hi - lo)/(1 + e^-t) on a bounded interval. Over the t of the floats
-inside the interval, bracketing (sound by strict monotonicity of
-W + gamma*A) and safeguarded Newton/bisection in t move in log steps near
-a barrier's edge and reach the first float inside each end; consecutive
-floats t map at most about 1.1e-13 apart relative to the distance from
-the nearer end. A trial point at which g overflows a float (raises
-DomainError) counts as past the root. A root between a finite end and the
-float nearest it raises NoSolutionError, a root between two consecutive
-chart points of which neither meets the tolerance ConvergenceError. From
-_ELEMENTWISE_MIN_DIM coordinates on, a separable problem runs this on
-all coordinates at once over arrays, below coordinate by coordinate.
+lo + (hi - lo)/(1 + e^-t) on a bounded interval. One safeguarded loop
+runs over a bracket of t around the root (sound by strict monotonicity of
+W + gamma*A), within the t of the floats inside the interval. The
+bracket's end on the root's side stays open until a point of the other
+sign closes it. Each step is a Newton step in t when it lands inside the
+bracket and is shorter than half the step before last (the slow-progress
+rule of rtsafe, Numerical Recipes 9.4), else a geometric step toward the
+open end, else bisection. The steps move in log scale near a barrier's
+edge and reach the first float inside each end; consecutive floats t map
+at most about 1.1e-13 apart relative to the distance from the nearer end.
+A trial point at which g overflows a float (raises DomainError) counts as
+past the root. A root between a finite end and the float nearest it
+raises NoSolutionError, a root between two consecutive chart points of
+which neither meets the tolerance ConvergenceError. From
+_ELEMENTWISE_MIN_DIM coordinates on, a separable problem runs this on all
+coordinates at once over arrays, below coordinate by coordinate.
 """
 
 import math
@@ -39,10 +44,8 @@ from .operators import GradientOp, MonotoneOperator
 
 # Absolute residual tolerance, scaled by 1 + |right-hand side|.
 _ATOL = 1e-12
-# Iteration budget of the bracket search and of the Newton loops.
+# Iteration budget of the root solvers and of damped Newton.
 _MAX_ITER = 200
-# Geometric growth of the bracket search steps.
-_BRACKET_EXPAND = 2.0
 # Separable solves with at least this many coordinates run elementwise;
 # the crossover of the two paths measured in BENCH_layers.json.
 _ELEMENTWISE_MIN_DIM = 24
@@ -154,11 +157,12 @@ def _array_chart(lo, hi):
 
 
 def _slope(dg, dc, z):
-    """The Newton slope dg(z) * c'(t) at z = c(t); 0, a bisection step, where dg overflows."""
+    """The Newton slope dg(z) * c'(t) at z = c(t); NaN, which takes no
+    Newton step, where dg raises instead of giving one."""
     try:
         return dg(z) * dc(z)
-    except DomainError:
-        return 0.0
+    except (DomainError, ZeroDivisionError, OverflowError):
+        return math.nan
 
 
 def _overflowing(g, z, safe):
@@ -183,97 +187,87 @@ def _overflowing(g, z, safe):
     return bad
 
 
-def _no_root(below, end):
-    """The error of a bracket search that met no sign change toward ``end``."""
+def _no_root(up, end):
+    """The error of a search that met no sign change toward ``end``, the
+    upper end of the interval when ``up``."""
     return NoSolutionError(
         f"no float inside the domain meets the target: the root lies between the edge "
         f"{float(end)!r} and the float nearest it" if math.isfinite(end) else
-        f"no sign change found toward the {'lower' if below else 'upper'} boundary")
+        f"no sign change found toward the {'upper' if up else 'lower'} boundary")
+
+
+def _collapsed(residual, tol):
+    """The error of a bracket with no float strictly inside."""
+    return ConvergenceError(f"bracket collapsed with residual {residual:.3e} > tol {tol:.3e}")
 
 
 def solve_scalar_increasing(g, dg, interval, target, tol, x0=None):
     """Root of the strictly increasing g(z) = target on an open interval.
 
     Solves g(c(t)) = target in the chart coordinate t, from the preimage
-    of x0 when x0 lies inside the interval, else from t = 0: geometric
-    bracket steps clamped to the t range, then bisection in t refined by
-    Newton steps of slope dg(z) * c'(t) that stay inside the bracket.
+    of x0 when x0 lies inside the interval, else from t = 0, in one loop
+    over a bracket [a, b] of t around the root. The bracket's end on the
+    root's side stays open, one float past the t range, until a point of
+    the other sign closes it. Each step is a Newton step of slope
+    dg(z) * c'(t) when it lands strictly inside the bracket and is shorter
+    than half the step before last; else a geometric step toward the open
+    end, clamped to the t range; else bisection.
     """
     lo, hi = interval
     c, dc, inverse, t_lo, t_hi = _interval_chart(float(lo), float(hi))
     t0 = 0.0
     if x0 is not None and lo < x0 < hi:
         t0 = min(max(inverse(x0), t_lo), t_hi)
-    z = c(t0)
-    f0 = g(z) - target
-    if abs(f0) <= tol:
-        return z
-
-    # Bracket search down toward t_lo when f0 > 0, else up toward t_hi;
-    # ``prev`` is the last point before the sign change.
-    down = f0 > 0
-    end = t_lo if down else t_hi
-    step = (-1.0 if down else 1.0) * max(1.0, abs(t0))
-    prev, f_prev = t0, f0
-    for k in range(_MAX_ITER):
-        cand = t0 + step * _BRACKET_EXPAND**k
-        cand = max(cand, end) if down else min(cand, end)
-        try:
-            fc = g(c(cand)) - target
-        except DomainError:
-            # g overflows toward the end searched: past the root.
-            fc = -math.inf if down else math.inf
-        if (fc <= 0) if down else (fc >= 0):
-            break
-        if cand == end:
-            if abs(fc) <= tol:
-                return c(cand)
-            raise _no_root(down, lo if down else hi)
-        prev, f_prev = cand, fc
-    else:
-        raise _no_root(down, lo if down else hi)
-    a, fa, b, fb = (cand, fc, prev, f_prev) if down else (prev, f_prev, cand, fc)
-
-    # Safeguarded Newton within the bracket [a, b], fa < 0 < fb, from its
-    # end nearer the root, until no float lies strictly between a and b.
-    x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-    z = c(x)
+    x, z = t0, c(t0)
+    fx = g(z) - target
+    # g(c(a)) < target <= g(c(b)). Every later point lies on the root's
+    # side of t0, so a point where g overflows (raises DomainError) lies
+    # toward the open end: past the root.
+    up = fx < 0
+    a, b = (x, math.nextafter(t_hi, math.inf)) if up else (math.nextafter(t_lo, -math.inf), x)
+    # While the bracket is open, x is its point farthest from t0. A
+    # geometric step toward the open end doubles the distance of x from
+    # ``back``, the point max(1, |t0|) behind t0.
+    back = t0 - (1.0 if up else -1.0) * max(1.0, abs(t0))
+    overflow = math.inf if up else -math.inf
+    is_open = True
+    half_old = half = math.inf
     for _ in range(_MAX_ITER):
         if abs(fx) <= tol:
             return z
-        x_new = 0.5 * (a + b)
-        if not a < x_new < b:
-            raise ConvergenceError(
-                f"bracket collapsed with residual {abs(fx):.3e} > tol {tol:.3e}"
-            )
+        new = min(max(x + x - back, t_lo), t_hi) if is_open else 0.5 * (a + b)
+        if not a < new < b:
+            raise _no_root(up, hi if up else lo) if is_open else _collapsed(abs(fx), tol)
         if dg is not None:
             slope = _slope(dg, dc, z)
             if slope > 0:
-                cand = x - fx / slope
-                if a < cand < b:
-                    x_new = cand
-        x, z = x_new, c(x_new)
+                dn = fx / slope
+                if a < x - dn < b and abs(dn) < half_old:
+                    new = x - dn
+        half_old, half = half, 0.5 * abs(new - x)
+        x, z = new, c(new)
         try:
             fx = g(z) - target
         except DomainError:
-            fx = -math.inf if down else math.inf
-        a, b = (x, b) if fx < 0 else (a, x)
+            fx = overflow
+        if fx < 0:
+            a = x
+        else:
+            b = x
+        is_open = is_open and (fx < 0) == up
+    if is_open:
+        raise _no_root(up, hi if up else lo)
     raise ConvergenceError("iteration budget exhausted in scalar solve")
 
 
-def _values(g, c, z, target, safe, overflow):
+def _values(g, z, target, safe, overflow):
     """g(z) - target over arrays, with the entry of overflow (-inf or +inf) at
-    each coordinate where g overflows; safe() gives a t at which g(c(t)) is finite."""
+    each coordinate where g overflows; g is finite at safe."""
     try:
         return g(z) - target
     except DomainError:
-        safe = c(safe())
         bad = _overflowing(g, z, safe)
         return np.where(bad, overflow, g(np.where(bad, safe, z)) - target)
-
-
-# Failure codes of the elementwise solver, in the order of its steps.
-_NO_ROOT, _COLLAPSED, _BUDGET = 1, 2, 3
 
 
 def solve_increasing_elementwise(g, dg, lo, hi, target, tol, x0=None):
@@ -283,8 +277,9 @@ def solve_increasing_elementwise(g, dg, lo, hi, target, tol, x0=None):
     dg evaluate increasing functions of each coordinate and their
     derivatives on a whole vector. lo, hi and tol broadcast against
     target; entries of x0 that are NaN or outside their interval start
-    from t = 0. A failure raises what the scalar solver raises at the
-    lowest failing coordinate.
+    from t = 0. Each coordinate takes the scalar solver's steps, and stays
+    put once it has converged or failed. A failure raises what the scalar
+    solver raises at the lowest failing coordinate.
     """
     target = np.asarray(target, dtype=float)
     n = target.shape[0]
@@ -299,82 +294,51 @@ def solve_increasing_elementwise(g, dg, lo, hi, target, tol, x0=None):
         if start.any():
             t0 = inverse(x0 if start.all() else np.where(start, x0, c(t0)))
             t0 = np.minimum(np.maximum(np.where(start, t0, 0.0), t_lo), t_hi)
-    failure = np.zeros(n, dtype=np.int8)
+    # Array arithmetic runs as float arithmetic does, without warnings: a
+    # dg that overflows gives no Newton step, and a step past a float's
+    # range is clamped to the t range.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x, z = t0, c(t0)
+        fx = g(z) - target
+        safe = z
+        up = fx < 0
+        a = np.where(up, x, np.nextafter(t_lo, -math.inf))
+        b = np.where(up, np.nextafter(t_hi, math.inf), x)
+        back = t0 - np.where(up, 1.0, -1.0) * np.maximum(1.0, np.abs(t0))
+        overflow = np.where(up, math.inf, -math.inf)
+        is_open = np.ones(n, dtype=bool)
+        active = np.ones(n, dtype=bool)
+        half_old = half = math.inf
+        for _ in range(_MAX_ITER):
+            # A coordinate stops, and stays put, once it converges or its
+            # fallback step finds no float strictly inside its bracket: an
+            # open end reached without a sign change, or a collapsed bracket.
+            active &= np.abs(fx) > tol
+            new = np.where(is_open, np.minimum(np.maximum(x + x - back, t_lo), t_hi), 0.5 * (a + b))
+            active &= (a < new) & (new < b)
+            if not active.any():
+                break
+            if dg is not None:
+                dn = fx / _slope(dg, dc, z)
+                cand = x - dn
+                new = np.where((a < cand) & (cand < b) & (np.abs(dn) < half_old), cand, new)
+            new = np.where(active, new, x)
+            half_old, half = half, 0.5 * np.abs(new - x)
+            x, z = new, c(new)
+            fx = _values(g, z, target, safe, overflow)
+            neg = fx < 0
+            a, b = np.where(neg, x, a), np.where(neg, b, x)
+            is_open &= neg == up
 
-    f0 = g(c(t0)) - target
-    done = np.abs(f0) <= tol
-    root = t0
-
-    # Bracket search as in the scalar solver: ``hit`` is the first point
-    # past the sign change, ``prev`` the last one before it.
-    down = f0 > 0
-    end = np.where(down, t_lo, t_hi)
-    overflow = np.where(down, -math.inf, math.inf)
-    step = np.where(down, -1.0, 1.0) * np.maximum(1.0, np.abs(t0))
-    prev, f_prev, hit, f_hit = t0, f0, t0, f0
-    active = ~done
-    for k in range(_MAX_ITER):
-        if not active.any():
-            break
-        cand = t0 + step * _BRACKET_EXPAND**k
-        cand = np.where(active, np.where(down, np.maximum(cand, end), np.minimum(cand, end)),
-                        prev)
-        fc = _values(g, c, c(cand), target, lambda: prev, overflow)
-        found = active & np.where(down, fc <= 0, fc >= 0)
-        hit, f_hit = np.where(found, cand, hit), np.where(found, fc, f_hit)
-        at_end = active & ~found & (cand == end)
-        if at_end.any():
-            at_root = at_end & (np.abs(fc) <= tol)
-            root = np.where(at_root, cand, root)
-            done |= at_root
-            failure[at_end & ~at_root] = _NO_ROOT
-            active &= ~at_end
-        active &= ~found
-        prev, f_prev = np.where(active, cand, prev), np.where(active, fc, f_prev)
-    failure[active] = _NO_ROOT
-
-    # Safeguarded Newton within the brackets [a, b], fa < 0 < fb. The
-    # coordinates finished before it wait at their start, and those that
-    # finish in it stay where they finished.
-    a, fa = np.where(down, hit, prev), np.where(down, f_hit, f_prev)
-    b, fb = np.where(down, prev, hit), np.where(down, f_prev, f_hit)
-    use_a = np.abs(fa) < np.abs(fb)
-    x, fx = np.where(use_a, a, b), np.where(use_a, fa, fb)
-    active = ~done & (failure == 0)
-    a, b, x = np.where(active, a, t0), np.where(active, b, t0), np.where(active, x, t0)
-    z = c(x)
-    for _ in range(_MAX_ITER):
-        converged = active & (np.abs(fx) <= tol)
-        root = np.where(converged, x, root)
-        active &= ~converged
-        x_new = 0.5 * (a + b)
-        collapsed = active & ~((a < x_new) & (x_new < b))
-        failure[collapsed] = _COLLAPSED
-        active &= ~collapsed
-        if not active.any():
-            break
-        if dg is not None:
-            slope = _slope(dg, dc, z)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                cand = x - fx / slope
-            x_new = np.where((slope > 0) & (a < cand) & (cand < b), cand, x_new)
-        x = np.where(active, x_new, x)
-        z = c(x)
-        fx = _values(g, c, z, target, lambda: np.where(down, b, a), overflow)
-        a, b = np.where(active & (fx < 0), x, a), np.where(active & (fx >= 0), x, b)
-    failure[active] = _BUDGET
-
-    failed = np.flatnonzero(failure)
+    failed = np.flatnonzero(active | (np.abs(fx) > tol))
     if failed.shape[0]:
         i = failed[0]
-        if failure[i] == _NO_ROOT:
-            raise _no_root(down[i], lo[i] if down[i] else hi[i])
-        if failure[i] == _COLLAPSED:
-            raise ConvergenceError(
-                f"bracket collapsed with residual {abs(fx[i]):.3e} > tol {tol[i]:.3e}"
-            )
+        if is_open[i]:
+            raise _no_root(up[i], hi[i] if up[i] else lo[i])
+        if not active[i]:
+            raise _collapsed(abs(fx[i]), tol[i])
         raise ConvergenceError("iteration budget exhausted in scalar solve")
-    return c(root)
+    return z
 
 
 def solve_resolvent(problem):
@@ -411,7 +375,7 @@ def solve_resolvent(problem):
         elif rhs.shape[0] < _ELEMENTWISE_MIN_DIM:
             z = np.empty_like(rhs)
             intervals = zip(lo.tolist(), hi.tolist())
-            for i, (interval, tol_i) in enumerate(zip(intervals, tol.tolist())):
+            for i, (interval, r, tol_i) in enumerate(zip(intervals, rhs.tolist(), tol.tolist())):
                 w, dw, w_inv, w_inv_dom = wt.term(i)
                 a, da, _, _ = at.term(i)
                 g = lambda t, w=w, a=a: w(t) + gamma * a(t)
@@ -419,9 +383,9 @@ def solve_resolvent(problem):
                 if dw is not None and da is not None:
                     dg = lambda t, dw=dw, da=da: dw(t) + gamma * da(t)
                 # Start from the kernel term's inverse at r/(1+gamma).
-                s = rhs[i] / (1.0 + gamma)
+                s = r / (1.0 + gamma)
                 x0 = w_inv(s) if w_inv is not None and w_inv_dom[0] < s < w_inv_dom[1] else None
-                z[i] = solve_scalar_increasing(g, dg, interval, rhs[i], tol_i, x0=x0)
+                z[i] = solve_scalar_increasing(g, dg, interval, r, tol_i, x0=x0)
         else:
             z = _solve_separable(wt, at, gamma, rhs, tol, lo, hi)
 

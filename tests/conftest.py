@@ -1,7 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from haraux import cli
+from haraux import cli, functions
 
 
 @pytest.fixture
@@ -16,3 +19,11 @@ def figure1_dir(tmp_path_factory):
     code = cli.main(["figure1", "--out", str(out)])
     assert code == 0
     return out
+
+
+@pytest.fixture
+def half_line_psi():
+    """psi = t^2/2 on (0, inf): psi' is 1-Lipschitz on a half-line, which
+    the derivative of no catalog barrier is."""
+    return dataclasses.replace(functions._quadratic_scalar(), name="quadratic on (0, inf)",
+                               dom=(0.0, math.inf), conj_dom=(0.0, math.inf))

@@ -87,13 +87,14 @@ class TestBoundCommand:
         assert len(err.strip().splitlines()) == 1
 
     def test_joca16_on_a_half_line_psi(self, capsys):
-        # Damped Newton starts inside (0, inf)^2, the domain of psi = t ln t - t.
+        # psi = t ln t - t has psi'' = 1/t, so its derivative is not
+        # 25-Lipschitz on (0, inf) and the operator is not monotone: a
+        # config error.
         code, out, err = _run(capsys, ["bound", "--op-a", "joca16:25,boltzmann_shannon",
                                        "--point", "1,2;29,38"])
-        assert code == 0 and err == ""
-        row = dict(zip(cli.BOUND_HEADER, out.strip().splitlines()[1].split(",")))
-        z = [float(t) for t in row["z"].split(";")]
-        assert z == pytest.approx([1.219451672033063, 1.507342164300244], rel=1e-12)
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err.startswith("error:") and "Lipschitz" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "b.csv"

@@ -165,13 +165,29 @@ class TestJoca16Op:
         with pytest.raises(ValueError):
             Joca16Op(0.5, functions._quadratic_scalar())  # slope 1 > beta
 
+    @pytest.mark.parametrize("beta, name", [(25.0, "boltzmann_shannon"), (300.0, "burg"),
+                                            (1e6, "fermi_dirac")])
+    def test_lipschitz_check_reaches_toward_a_barrier(self, beta, name):
+        # psi'' is 1/t for Boltzmann-Shannon, which exceeds 25 below
+        # t = 0.04, where A is not monotone: the check samples the domain
+        # through its chart, log-spaced toward the barrier at 0.
+        with pytest.raises(ValueError, match="Lipschitz"):
+            Joca16Op(beta, functions.from_name(name).parts[0])
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_lipschitz_check_accepts_the_quadratic(self, beta, half_line_psi):
+        # Joca16Op(1, quadratic) and Joca16Op(2, quadratic) are the
+        # operators of verify and of the benchmark's 2-D certification.
+        for psi in (functions._quadratic_scalar(), half_line_psi):
+            assert Joca16Op(beta, psi).beta == beta
+
     def test_wrong_dimension(self):
         op = Joca16Op(1.0, functions._quadratic_scalar())
         with pytest.raises(DomainError):
             op.apply([1.0, 2.0, 3.0])
 
-    def test_point_outside_the_domain_of_psi(self):
-        op = Joca16Op(300.0, functions._burg_scalar())  # psi' = -1/t on (0, inf)
+    def test_point_outside_the_domain_of_psi(self, half_line_psi):
+        op = Joca16Op(1.0, half_line_psi)
         with pytest.raises(DomainError):
             op.apply([1.0, -0.5])
         Y = np.ones((5, 2))

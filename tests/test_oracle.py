@@ -50,8 +50,8 @@ class TestDefaultBox:
         assert len(box) == 3
         assert box[0][0] == pytest.approx(-10.0, abs=1e-5)
 
-    def test_joca16_box_lies_in_the_domain_of_psi(self):
-        A = Joca16Op(25.0, functions.boltzmann_shannon(1).parts[0])
+    def test_joca16_box_lies_in_the_domain_of_psi(self, half_line_psi):
+        A = Joca16Op(25.0, half_line_psi)
         box = oracle.default_box(A)
         assert box == [(1e-6, 10.0 - 1e-6)] * 2
         s = oracle.sample_graph(A, box, 9)

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -88,14 +89,15 @@ _INCREASING = {
 }
 
 
-def _edge_targets(g, dom, rng_):
-    """Targets whose roots lie 1e-12 and 1e-14 inside each finite end of
-    the domain, which the solvers reach through the domain's chart, and
-    targets 1e-12 inside and 1e-3 outside each finite end of the range."""
+def _edge_targets(g, dom, rng_, gaps=(1e-12, 1e-14)):
+    """Targets whose roots lie ``gaps`` inside each finite end of the
+    domain, where that is a float other than the end, which the solvers
+    reach through the domain's chart, and targets 1e-12 inside and 1e-3
+    outside each finite end of the range."""
     targets = []
     for end, sign in ((dom[0], 1.0), (dom[1], -1.0)):
         if math.isfinite(end):
-            targets += [float(g(end + sign * 1e-12)), float(g(end + sign * 1e-14))]
+            targets += [float(g(end + sign * gap)) for gap in gaps if end + sign * gap != end]
     for end, sign in ((rng_[0], 1.0), (rng_[1], -1.0)):
         if math.isfinite(end):
             targets += [end + sign * 1e-12, end - sign * 1e-3]
@@ -152,6 +154,55 @@ class TestElementwiseSolve:
         if failing:
             with raises_as(expected[failing[0]]):
                 elementwise(slice(None))
+
+    @pytest.mark.parametrize("name", ["burg", "log", "logit", "entropy"])
+    def test_a_dg_that_fails_takes_a_bisection_step(self, name):
+        # Plain derivatives such as 1/(t*t) divide by zero or overflow a
+        # float near the end 0 (1/(t*t) below t = 1e-154), where the steps
+        # toward roots 1e-300 inside it lead: each such slope is a
+        # bisection step, on both paths alike and with no warning.
+        if name == "entropy":
+            g, dg, dom = (lambda z: z + np.log(z)), (lambda z: 1.0 + 1.0 / z), (0.0, math.inf)
+            targets = [-700.0, -720.0, -745.0]
+        else:
+            g, dg, dom, rng_ = _INCREASING[name]
+            targets = _edge_targets(g, dom, rng_, gaps=(1e-300,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for target in targets:
+                tol = 1e-12 * (1.0 + abs(target))
+                try:
+                    expected = solve_scalar_increasing(g, dg, dom, target, tol)
+                except (NoSolutionError, ConvergenceError) as exc:
+                    with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                        solve_increasing_elementwise(g, dg, *dom, [target], tol)
+                    continue
+                assert abs(g(expected) - target) <= tol
+                z = solve_increasing_elementwise(g, dg, *dom, [target], tol)
+                assert z.tolist() == [expected]
+
+    def test_slow_newton_steps_give_way_to_bisection(self):
+        # z + ln z = a, the identity-kernel Boltzmann-Shannon resolvent,
+        # from t = ln z = 0: the first Newton step lands near t = 212, past
+        # the root t = 6.04, and from there each Newton step moves t by
+        # about 1. A Newton step no shorter than half the step before last
+        # gives way to bisection.
+        a = 424.1944224026184
+        tol = 1e-12 * (1.0 + a)
+        calls = 0
+
+        def g(z):
+            nonlocal calls
+            calls += 1
+            return z + np.log(z)
+
+        dg = lambda z: 1.0 + 1.0 / z
+        z = solve_scalar_increasing(g, dg, (0.0, math.inf), a, tol)
+        assert calls <= 30
+        calls = 0
+        assert solve_increasing_elementwise(g, dg, 0.0, math.inf, [a], tol).tolist() == [z]
+        assert calls <= 30
+        assert abs(g(z) - a) <= tol
 
     def test_a_finished_search_stays_put(self):
         # Coordinate 0 searches up for an unreachable target for the whole
@@ -418,10 +469,12 @@ class TestSolveResolvent:
             1 + np.max(np.abs(rhs))
         )
 
-    def test_joca16_without_root_in_the_domain_is_a_convergence_error(self):
-        A = Joca16Op(25.0, functions.boltzmann_shannon(1).parts[0])
+    def test_joca16_without_root_in_the_domain_is_a_convergence_error(self, half_line_psi):
+        # (Id + A)^-1 (-1, -2) has a negative first coordinate, outside
+        # (0, inf)^2, the domain of psi.
+        A = Joca16Op(25.0, half_line_psi)
         with pytest.raises(ConvergenceError):
-            solve_resolvent(ResolventProblem(identity(2), A, 1.0, np.array([1.0, 2.0])))
+            solve_resolvent(ResolventProblem(identity(2), A, 1.0, np.array([-1.0, -2.0])))
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_non_diagonal_affine_kernel_takes_newton(self, gamma):
