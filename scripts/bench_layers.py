@@ -30,6 +30,9 @@ speed reaches all trees alike. The layers are:
   refined grid of the 2-D oracle certification;
 - ``run_checks``: the whole verify suite, ``verification.run_checks`` at
   its default seed; it does not depend on d;
+- ``verify_suites``: each of the seven suites of ``run_checks``, run in
+  order from the default seed as ``run_checks`` runs them, each timed
+  alone; it does not depend on d;
 - ``figure1_cli``: the whole ``haraux figure1 --format csv`` command,
   ``cli.main`` writing the four panel CSVs to a temporary directory; it
   does not depend on d.
@@ -67,6 +70,8 @@ SAMPLE_S = 0.02
 CROSSOVER_ROUNDS = 5
 TREE_ROUNDS = 3
 SEED = 20251018
+# The suites of verification.run_checks, in the order it runs them.
+VERIFY_SUITES = ("core", "function", "operator", "solver", "bound", "oracle", "gauge")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -88,6 +93,21 @@ def time_call(fn):
             fn()
         samples.append((perf_counter() - t0) / n)
     return statistics.median(samples) * 1e6
+
+
+def suite_times(np, verification, seed):
+    """Microseconds per call of each verify suite, the suites run in order
+    from ``seed`` in each round; the median of SAMPLES rounds after one
+    warm-up round."""
+    rounds = {name: [] for name in VERIFY_SUITES}
+    for _ in range(SAMPLES + 1):
+        rng, rows = np.random.default_rng(seed), []
+        for name in VERIFY_SUITES:
+            suite = getattr(verification, f"_{name}_checks")
+            t0 = perf_counter()
+            suite(rng, rows)
+            rounds[name].append((perf_counter() - t0) * 1e6)
+    return {name: statistics.median(times[1:]) for name, times in rounds.items()}
 
 
 def measure():
@@ -180,6 +200,7 @@ def measure():
         "n_per_dim": 257, "us": time_call(lambda: oracle.sample_graph(A, box, 257))}
 
     out["run_checks"] = time_call(lambda: verification.run_checks(seed=oracle.DEFAULT_SEED))
+    out["verify_suites"] = suite_times(np, verification, oracle.DEFAULT_SEED)
     with tempfile.TemporaryDirectory() as tmp:
         out["figure1_cli"] = time_call(
             lambda: cli.main(["figure1", "--format", "csv", "--out", tmp]))

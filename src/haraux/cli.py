@@ -3,7 +3,8 @@ verification suites, reproduce the comparison figure, evaluate gauges.
 
 All numeric CSV fields are written with 17 significant digits so 64-bit
 floats round-trip exactly, and output is byte-identical for a fixed seed
-and configuration.
+and configuration, but for the wall times in the verify report's
+``suite_s`` column.
 
 The figure1 panels are evaluated as stacked rows: the 402 points of a
 panel are (402, 1) arrays X, U, and each of its columns (new bound,
@@ -32,6 +33,8 @@ EXIT_SOLVER = 3
 
 BOUND_HEADER = ["x", "u_star", "gamma", "method", "bound", "exact", "z", "residual"]
 FIGURE_HEADER = ["x", "u_star", "new_bound", "carlier_bound", "exact_L"]
+# seed is the resolved seed; suite_s the wall time of the suite behind the row.
+VERIFY_HEADER = ["module", "check", "status", "measured", "threshold", "seed", "suite_s"]
 GAUGE_HEADER = ["x", "y_star", "gauge_value", "component_primal", "component_dual"]
 BOUND_METHODS = sorted(bounds.FY_METHODS + ("carlier_haraux",))
 
@@ -173,10 +176,12 @@ def cmd_verify(args):
             "pass" if r["passed"] else "fail",
             _fmt(r["measured"]),
             _fmt(r["threshold"]),
+            str(r["seed"]),
+            _fmt(r["suite_s"]),
         ]
         for r in rows
     ]
-    _write_rows(args.out, ["module", "check", "status", "measured", "threshold"], out_rows)
+    _write_rows(args.out, VERIFY_HEADER, out_rows)
     failed = [r for r in rows if not r["passed"]]
     for r in failed:
         print(f"FAILED: {r['module']}.{r['check']} "

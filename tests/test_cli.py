@@ -5,6 +5,7 @@ import pytest
 
 from haraux import bounds, cli, functions
 from haraux.core import DualPair
+from haraux.oracle import DEFAULT_SEED
 
 
 def _run(capsys, argv):
@@ -200,8 +201,25 @@ class TestVerifyCommand:
         code, _, err = _run(capsys, ["verify", "--out", str(report)])
         assert code == 0, err
         header, rows = _read_csv(report)
-        assert header == ["module", "check", "status", "measured", "threshold"]
+        assert header == cli.VERIFY_HEADER
         assert rows and all(r[2] == "pass" for r in rows)
+
+    def test_report_gives_the_resolved_seed_and_suite_times(self, capsys, tmp_path, monkeypatch):
+        # The first five columns are the old report; seed and suite_s follow.
+        assert cli.VERIFY_HEADER == ["module", "check", "status", "measured", "threshold",
+                                     "seed", "suite_s"]
+        for flags, env, seed in (([], None, DEFAULT_SEED), ([], "12345", 12345),
+                                 (["--seed", "7"], "12345", 7)):
+            if env is None:
+                monkeypatch.delenv("HARAUX_SEED", raising=False)
+            else:
+                monkeypatch.setenv("HARAUX_SEED", env)
+            report = tmp_path / "r.csv"
+            code, _, err = _run(capsys, ["verify", "--out", str(report), *flags])
+            assert code == 0, err
+            _, rows = _read_csv(report)
+            assert {r[5] for r in rows} == {str(seed)}
+            assert all(float(r[6]) > 0.0 for r in rows)
 
     def test_self_test_corrupt_fails(self, capsys, tmp_path):
         report = tmp_path / "report.csv"
