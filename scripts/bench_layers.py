@@ -37,6 +37,9 @@ speed reaches all trees alike. The layers are:
   ``cli.main`` writing the four panel CSVs to a temporary directory; it
   does not depend on d.
 
+Each tree also records ``src_lines``: the line count (as ``wc -l`` gives
+it) of each module of the ``haraux`` package it imports, and their total.
+
 A tree whose solvers have the private ``_ELEMENTWISE_MIN_DIM`` also gets
 the resolvent crossover: the time of the coordinate-by-coordinate loop and
 of the elementwise solve at each d of a sweep, both forced through that
@@ -110,10 +113,21 @@ def suite_times(np, verification, seed):
     return {name: statistics.median(times[1:]) for name, times in rounds.items()}
 
 
+def src_lines(package):
+    """The newline count of each module in the directory ``package``, and their total."""
+    modules = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                modules[name] = fh.read().count("\n")
+    return {"total": sum(modules.values()), "modules": modules}
+
+
 def measure():
     """The layer costs of the haraux on sys.path, as a dict."""
     import numpy as np
 
+    import haraux
     from haraux import bounds, cli, core, functions, operators, oracle, solvers, verification
     from haraux.core import DualPair
 
@@ -207,6 +221,7 @@ def measure():
 
     if hasattr(solvers, "_ELEMENTWISE_MIN_DIM"):
         out["crossover"] = crossover(solvers, resolvent)
+    out["src_lines"] = src_lines(os.path.dirname(haraux.__file__))
     return out
 
 

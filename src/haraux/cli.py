@@ -8,10 +8,8 @@ and configuration, but for the wall times in the verify report's
 
 The figure1 panels are evaluated as stacked rows: the 402 points of a
 panel are (402, 1) arrays X, U, and each of its columns (new bound,
-baseline, exact L_phi) is one array call, so the four panels take 12
-calls instead of 4824 single-pair ones, with the same bytes. The command
-takes about 31 ms instead of 359 ms on a 2-core x86_64 VM
-(scripts/bench_layers.py, BENCH_figure1.json)."""
+baseline, exact L_phi) is one array call, with the bytes of one call
+per point."""
 
 import argparse
 import os

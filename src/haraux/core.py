@@ -45,26 +45,6 @@ def pairing(x, u_star):
     return float(np.dot(x, u))
 
 
-def xadd(*terms):
-    """Extended-real sum with +inf absorbing.
-
-    -inf and NaN are errors: every function handled here is proper, so a
-    value of -inf signals a bug upstream, not a legitimate result.
-    """
-    total = 0.0
-    for t in terms:
-        t = float(t)
-        if math.isnan(t):
-            raise ValueError("NaN in extended-real sum")
-        if t == -INF:
-            raise ValueError("-inf is not a member of the extended reals used here")
-        if t == INF or total == INF:
-            total = INF
-        else:
-            total += t
-    return total
-
-
 @dataclass(frozen=True)
 class DualPair:
     """A primal-dual evaluation point (x, u*) in R^N x R^N."""

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import INF, DomainError, as_vector, xadd
+from .core import INF, DomainError, as_vector
 
 # The ``near_boundary`` diagnostic flags an auxiliary point this close
 # (times max(1, |end|)) to a finite end of an open domain, or outside it.
@@ -174,14 +174,12 @@ class SeparableFunction:
         self.conj_lo, self.conj_hi = _bounds([p.conj_dom for p in parts])
 
     def __call__(self, x):
-        return self._value(_check_dim(x, self.dim))
-
-    def _value(self, x):
-        return xadd(*(p.eval(t) for p, t in zip(self.parts, x)))
+        x = _check_dim(x, self.dim)
+        return _part_sums(self.parts, ScalarLegendre.eval, x[None])[0]
 
     def conjugate_eval(self, u_star):
         u = _check_dim(u_star, self.dim)
-        return xadd(*(p.eval_conj(s) for p, s in zip(self.parts, u)))
+        return _part_sums(self.parts, ScalarLegendre.eval_conj, u[None])[0]
 
     def _evaluate(self, form, z):
         """The array formula ``form`` (a field of ``ScalarLegendre.arrays``)
@@ -228,9 +226,19 @@ class SeparableFunction:
     def bregman(self, x, y):
         """D(x, y) = f(x) - f(y) - <x - y, grad f(y)>; +inf if y not interior."""
         x, y = _check_dim(x, self.dim), _check_dim(y, self.dim)
-        if not self._inside(y) or (fx := self._value(x)) == INF:
-            return INF
-        return fx - self._value(y) - float(np.dot(x - y, self._evaluate("deriv", y)))
+        return float(self._bregman_rows(x[None], y[None])[0])
+
+    def _bregman_rows(self, X, Y):
+        """bregman at each row of the checked (k, dim) arrays X and Y, as an
+        array: +inf where the row of Y is not interior or f is +inf at X's."""
+        fx = np.array(_part_sums(self.parts, ScalarLegendre.eval, X))
+        inside = ((self.dom_lo < Y) & (Y < self.dom_hi)).all(axis=1) & (fx < INF)
+        out = np.full(len(X), INF)
+        Xi, Yi = X[inside], Y[inside]
+        # Row i of the stacked product is np.dot(Xi[i] - Yi[i], grad f(Yi[i])).
+        dots = np.matmul((Xi - Yi)[:, None, :], self._evaluate("deriv", Yi)[:, :, None])[:, 0, 0]
+        out[inside] = fx[inside] - _part_sums(self.parts, ScalarLegendre.eval, Yi) - dots
+        return out
 
     def fenchel_young(self, x, u_star):
         """phi(x) + phi*(u*) - <x, u*>, always >= 0."""
@@ -240,11 +248,11 @@ class SeparableFunction:
 
     def _fenchel_young_rows(self, X, U):
         """fenchel_young at each row of the checked (k, dim) arrays X and
-        U, as a list of k floats. Each row is the xadd of the parts' values
-        plus the xadd of their conjugate values, minus the row's dot
-        product: +inf when either sum is."""
-        fx = _part_sums(self.parts, "eval", X)
-        fu = _part_sums(self.parts, "eval_conj", U)
+        U, as a list of k floats. Each row is the extended-real sum of the
+        parts' values plus that of their conjugate values, minus the row's
+        dot product: +inf when either sum is."""
+        fx = _part_sums(self.parts, ScalarLegendre.eval, X)
+        fu = _part_sums(self.parts, ScalarLegendre.eval_conj, U)
         # Row i of the stacked product is np.dot(X[i], U[i]).
         dots = np.matmul(X[:, None, :], U[:, :, None])[:, 0, 0].tolist()
         return [INF if a == INF or b == INF else a + b - c
@@ -255,11 +263,11 @@ class SeparableFunction:
         return SeparableFunction([conjugates[id(p)] for p in self.parts])
 
 
-def _part_sums(parts, method, X):
-    """xadd(*(getattr(p, method)(t) for p, t in zip(parts, row))) for each
-    row of X: the same additions in the same order."""
+def _part_sums(parts, value, X):
+    """The extended-real sum of value(p, t) over the parts p and entries t of
+    each row of X, added left to right from 0.0, as a list of floats."""
     k, d = X.shape
-    values = list(map(getattr(ScalarLegendre, method), cycle(parts), X.ravel().tolist()))
+    values = list(map(value, cycle(parts), X.ravel().tolist()))
     totals = [reduce(operator.add, values[i:i + d], 0.0) for i in range(0, k * d, d)]
     # +inf absorbs finite terms; a NaN or -inf term leaves a NaN or -inf total.
     if not all(t > -INF for t in totals):
@@ -278,7 +286,7 @@ def _envelope(p, s):
 def moreau_envelope(psi, x):
     """inf_y psi(y) + ||x - y||^2 / 2, summed over the parts of psi."""
     x = _check_dim(x, psi.dim)
-    return xadd(*(_envelope(p, s) for p, s in zip(psi.parts, x)))
+    return _part_sums(psi.parts, _envelope, x[None])[0]
 
 
 # --------------------------------------------------------------------------
@@ -299,7 +307,7 @@ _EXP_SAFE = 709.0
 
 def _exp_array(s):
     """_exp over an array."""
-    if s.max() > _EXP_SAFE:
+    if s.max(initial=-INF) > _EXP_SAFE:
         _exp(s.max())
     return np.exp(s)
 
@@ -320,7 +328,7 @@ def _recip_array(t):
     less than a numpy reduction."""
     if t.size == 1:
         _recip(t.item())
-    elif not (t.min() >= _RECIP_SAFE or t.max() <= -_RECIP_SAFE):
+    elif not (t.min(initial=INF) >= _RECIP_SAFE or t.max(initial=-INF) <= -_RECIP_SAFE):
         _recip(t.flat[np.argmin(np.abs(t))])
     return 1.0 / t
 
@@ -335,7 +343,7 @@ def _logistic(s):
 
 def _logistic_array(s):
     """_logistic over an array."""
-    if s.min() >= -_EXP_SAFE:
+    if s.min(initial=INF) >= -_EXP_SAFE:
         return 1.0 / (1.0 + np.exp(-s))
     with np.errstate(over="ignore"):
         e = np.exp(-s)

@@ -85,9 +85,8 @@ def theta_bound(inst, x):
     return primal_primal_bound(inst, x, x)
 
 
-def kt_gauge_bound(inst, x, y_star):
-    """Sum of the two per-block pairing bounds, divided by gamma; zero
-    exactly on the Kuhn-Tucker set."""
+def _kt_gauge(inst, x, y_star):
+    """The unclamped KT gauge at (x, y*): its value, z and diagnostics."""
     x = as_vector(x)
     y_star = as_vector(y_star)
     gamma, L = inst.gamma, inst.L
@@ -98,34 +97,27 @@ def kt_gauge_bound(inst, x, y_star):
         "component_dual": max(comp_y, 0.0),
         "residual": max(diag_x["residual"], diag_y["residual"]),
     }
-    return _finalize(
-        comp_x + comp_y, np.concatenate([zx, zy]), "kt_gauge", gamma, diag
-    )
+    return comp_x + comp_y, np.concatenate([zx, zy]), diag
+
+
+def kt_gauge_bound(inst, x, y_star):
+    """Sum of the two per-block pairing bounds, divided by gamma; zero
+    exactly on the Kuhn-Tucker set."""
+    value, z, diag = _kt_gauge(inst, x, y_star)
+    return _finalize(value, z, "kt_gauge", inst.gamma, diag)
 
 
 def fr_gauge_bound(f, g_star, phi, psi_star, L, gamma, x, y_star):
     """Fenchel-Rockafellar gauge: symmetrized-Bregman sum over the primal
     block (kernel f, function phi) and the dual block (kernel g*,
-    function psi*), divided by gamma."""
-    L = np.atleast_2d(np.asarray(L, dtype=float))
-    x = as_vector(x)
-    y_star = as_vector(y_star)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-
-    comp_x, zx, diag_x = _pairing_value(
-        GradientOp(f), GradientOp(phi), x, -(L.T @ y_star), gamma)
-    comp_y, zy, diag_y = _pairing_value(
-        GradientOp(g_star), GradientOp(psi_star), y_star, L @ x, gamma)
-    diag = {
-        "component_primal": max(comp_x, 0.0),
-        "component_dual": max(comp_y, 0.0),
-        "residual": max(diag_x["residual"], diag_y["residual"]),
-        "near_boundary": f._near_boundary(zx) or g_star._near_boundary(zy),
-    }
-    return _finalize(
-        comp_x + comp_y, np.concatenate([zx, zy]), "fr_gauge", gamma, diag
-    )
+    function psi*), divided by gamma. It is the KT gauge with gradient
+    blocks C = grad phi, D^{-1} = grad psi*, W_X = grad f, W_Y* = grad g*."""
+    inst = KTInstance(C=GradientOp(phi), D_inv=GradientOp(psi_star), L=L, gamma=gamma,
+                      W_X=GradientOp(f), W_Ystar=GradientOp(g_star))
+    value, z, diag = _kt_gauge(inst, x, y_star)
+    n = inst.L.shape[1]
+    diag["near_boundary"] = f._near_boundary(z[:n]) or g_star._near_boundary(z[n:])
+    return _finalize(value, z, "fr_gauge", gamma, diag)
 
 
 def stacked_inclusion(inst):

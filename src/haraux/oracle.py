@@ -92,35 +92,17 @@ def verify_bound(bound, exact, slack, p=None, max_refinements=4, refinement_cap=
             raise ValueError("graph-sample comparison needs the evaluation pair")
         sample = exact
         cap = refinement_cap if refinement_cap is not None else ESCALATION_CAP_1D
-        refinements = 0
-        while True:
-            approx = haraux_lower_approx(sample, p)
-            if bound.value <= approx + slack:
-                return {
-                    "status": "consistent",
-                    "bound": bound.value,
-                    "reference": approx,
-                    "slack": slack,
-                    "measured": bound.value - approx,
-                    "n_per_dim": sample.n_per_dim,
-                }
-            if refinements >= max_refinements or 2 * sample.n_per_dim - 1 > cap:
-                return {
-                    "status": "fail",
-                    "bound": bound.value,
-                    "reference": approx,
-                    "slack": slack,
-                    "measured": bound.value - approx,
-                    "n_per_dim": sample.n_per_dim,
-                }
+        reference = haraux_lower_approx(sample, p)
+        for _ in range(max_refinements):
+            if bound.value <= reference + slack or 2 * sample.n_per_dim - 1 > cap:
+                break
             sample = refine(sample)
-            refinements += 1
-    exact = float(exact)
-    passed = bound.value <= exact + slack
-    return {
-        "status": "pass" if passed else "fail",
-        "bound": bound.value,
-        "reference": exact,
-        "slack": slack,
-        "measured": bound.value - exact,
-    }
+            reference = haraux_lower_approx(sample, p)
+        status = "consistent" if bound.value <= reference + slack else "fail"
+        extra = {"n_per_dim": sample.n_per_dim}
+    else:
+        reference = float(exact)
+        status = "pass" if bound.value <= reference + slack else "fail"
+        extra = {}
+    return {"status": status, "bound": bound.value, "reference": reference, "slack": slack,
+            "measured": bound.value - reference, **extra}

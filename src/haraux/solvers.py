@@ -149,7 +149,7 @@ def _array_chart(lo, hi):
     if (lo == lo[0]).all() and (hi == hi[0]).all():
         return _interval_chart(float(lo[0]), float(hi[0]), arrays=True)
     kind = np.isfinite(lo) + 2 * np.isfinite(hi)
-    masks = [kind == k for k in np.unique(kind)]
+    masks = [m for m in (kind == k for k in range(4)) if m.any()]
     charts = [_chart(_ARRAY_CHART, lo[m], hi[m], kind[m][0] & 1, kind[m][0] & 2) for m in masks]
     c, dc, inverse = (partial(np.piecewise, condlist=masks, funclist=[f[j] for f in charts])
                       for j in range(3))

@@ -10,10 +10,7 @@ gradient, values and Fenchel-Young kernel; the resolvent samples of one
 gamma are one stacked problem, each row solved to the tolerance of its
 unbatched call; the bound suite evaluates each function x method in one
 batched call (``bounds._fy_rows``). The rows are the same, bit for bit,
-as those of one library call per sample. The whole suite takes about
-0.06 s on a 2-core x86_64 VM, against 0.26 s with one call per sample
-in the function, solver and Bregman checks (scripts/bench_layers.py,
-``run_checks`` and ``verify_suites`` in BENCH_verify_batched.json)."""
+as those of one library call per sample."""
 
 import math
 from time import perf_counter
@@ -96,7 +93,7 @@ def _function_checks(rng, rows, n=200):
         part = f.parts[0]
         P = _sample(rng, (box[0] + 2 * h, box[1] - 2 * h), (n, 1))
         G = f._gradient_at(P)
-        value = lambda X: np.array(functions._part_sums(f.parts, "eval", X))
+        value = lambda X: np.array(functions._part_sums(f.parts, functions.ScalarLegendre.eval, X))
         fd.append(np.abs(G[:, 0] - (value(P + h) - value(P - h)) / (2 * h)))
         graph.append(f._fenchel_young_rows(P, G))
         roundtrip.append([abs(part.deriv_inv(part.deriv(t)) - t) for t in P[:, 0].tolist()])
@@ -183,20 +180,6 @@ def _draw_pairs(rng, box, cbox, n):
     return _scale(box, R[:, :1]), _scale(cbox, R[:, 1:])
 
 
-def _bregman_rows(f, X, Y):
-    """f.bregman(X[i], Y[i]) for each row: +inf where Y[i] is not interior
-    or f(X[i]) is +inf."""
-    fx = np.array(functions._part_sums(f.parts, "eval", X))
-    inside = ((f.dom_lo < Y) & (Y < f.dom_hi)).all(axis=1) & (fx < math.inf)
-    out = np.full(len(X), math.inf)
-    if inside.any():
-        Xi, Yi = X[inside], Y[inside]
-        # Row i of the stacked product is np.dot(Xi[i] - Yi[i], grad f(Yi[i])).
-        dots = np.matmul((Xi - Yi)[:, None, :], f._gradient_at(Yi)[:, :, None])[:, 0, 0]
-        out[inside] = fx[inside] - functions._part_sums(f.parts, "eval", Yi) - dots
-    return out
-
-
 def _bound_checks(rng, rows, n=300):
     # Each function x method is one batched call over the n drawn pairs,
     # and the exact values of a function are one call of its rows kernel.
@@ -218,7 +201,7 @@ def _bound_checks(rng, rows, n=300):
     burg = functions.burg()
     X, U = _draw_pairs(rng, (0.1, 5.0), (-5.0, -0.1), n)
     values, Z = bounds._fy_rows(burg, X, U, 1.0, "bregman")
-    direct = _bregman_rows(burg, X, Z) + _bregman_rows(burg, Z, X)
+    direct = burg._bregman_rows(X, Z) + burg._bregman_rows(Z, X)
     rows.append(_row("bounds", "burg_closed_form_equality", _worst(np.abs(values - direct)),
                      1e-10))
 

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from haraux.core import (
-    INF,
     DimensionMismatchError,
     DualPair,
     as_vector,
     pairing,
-    xadd,
 )
 
 
@@ -49,22 +47,6 @@ class TestPairing:
         lhs = pairing(a * x + b * y, u)
         rhs = a * pairing(x, u) + b * pairing(y, u)
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
-
-
-class TestXadd:
-    def test_finite_sum(self):
-        assert xadd(1.0, 2.5, -0.5) == 3.0
-
-    def test_plus_inf_absorbs(self):
-        assert xadd(1.0, INF, -3.0) == INF
-
-    def test_minus_inf_rejected(self):
-        with pytest.raises(ValueError):
-            xadd(1.0, -INF)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            xadd(1.0, math.nan)
 
 
 class TestDualPair:

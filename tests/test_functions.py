@@ -186,7 +186,7 @@ class TestFenchelYoungRows:
         U = np.column_stack([rng.uniform(*box, 25) for _, box in boxes])
         rows = phi._fenchel_young_rows(X, U)
         # Each row is the definition: phi(x) + phi*(u*) - <x, u*>, each sum
-        # an xadd over the parts in coordinate order.
+        # an extended-real sum over the parts in coordinate order.
         assert rows == [phi(x) + phi.conjugate_eval(u) - pairing(x, u) for x, u in zip(X, U)]
         assert rows == [phi.fenchel_young(x, u) for x, u in zip(X, U)]
 
@@ -205,8 +205,8 @@ class TestFenchelYoungRows:
         assert bs._fenchel_young_rows(X, U) == [bs.fenchel_young(X[0], U[0]), INF]
 
     def test_a_nan_value_is_an_error(self):
-        # As in xadd, a NaN term is an error, also in a row whose conjugate
-        # sum is +inf.
+        # As in every extended-real sum, a NaN term is an error, also in a
+        # row whose conjugate sum is +inf.
         part = functions.ScalarLegendre(
             name="nan_at_two", dom=(-INF, INF), value=lambda t: math.nan if t == 2.0 else t,
             deriv=lambda t: 1.0, deriv_inv=lambda s: 0.0, conj_dom=(0.5, 1.5),
@@ -217,6 +217,92 @@ class TestFenchelYoungRows:
             phi._fenchel_young_rows(np.array([[1.0, 3.0], [3.0, 2.0]]), np.ones((2, 2)))
         with pytest.raises(ValueError, match="NaN"):
             phi.fenchel_young([3.0, 2.0], [2.0, 1.0])
+
+
+# A part whose value and conjugate value at t are TERMS.get(t, t) and whose
+# prox is the identity, so that its Moreau envelope at t is its value at t:
+# each point of it is one list of extended-real terms for all three sums.
+TERMS = {5.0: INF, 6.0: -INF, 7.0: math.nan}
+TERM_PART = functions.ScalarLegendre(
+    name="terms", dom=(-INF, INF), value=lambda t: TERMS.get(t, t), deriv=lambda t: 1.0,
+    deriv_inv=lambda s: 0.0, conj_dom=(-INF, INF), conj_value=lambda s: TERMS.get(s, s),
+    prox_fn=lambda t, gamma: t)
+SUMS = (functions.SeparableFunction.__call__, functions.SeparableFunction.conjugate_eval,
+        functions.moreau_envelope)
+
+
+class TestExtendedRealSum:
+    """Every sum over the parts at one point: the value, the conjugate
+    value and the Moreau envelope."""
+
+    def test_finite_sum(self):
+        f = functions.SeparableFunction(TERM_PART, 3)
+        assert [total(f, [1.0, 2.5, -0.5]) for total in SUMS] == [3.0] * 3
+
+    def test_plus_inf_absorbs(self):
+        f = functions.SeparableFunction(TERM_PART, 3)
+        assert [total(f, [1.0, 5.0, -3.0]) for total in SUMS] == [INF] * 3
+
+    def test_minus_inf_rejected(self):
+        for total in SUMS:
+            with pytest.raises(ValueError):
+                total(functions.SeparableFunction(TERM_PART, 2), [1.0, 6.0])
+
+    def test_nan_rejected(self):
+        for total in SUMS:
+            with pytest.raises(ValueError):
+                total(functions.SeparableFunction(TERM_PART, 2), [1.0, 7.0])
+
+
+def _left_to_right(terms):
+    """The terms added one by one from 0.0."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+class TestOneRowBatches:
+    """A single-point sum or Bregman distance is the one-row case of its
+    batch, and each row the float arithmetic of its definition."""
+
+    @pytest.mark.parametrize("d", [1, 3, 1000])
+    @pytest.mark.parametrize("name", ["burg", "fermi_dirac", "quad_plus:burg", "mixed"])
+    def test_single_calls_equal_their_rows_bit_for_bit(self, name, d):
+        rng = np.random.default_rng(20251020 + d)
+        if name == "mixed":
+            parts = [functions.from_name(n).parts[0]
+                     for n in ("burg", "boltzmann_shannon", "fermi_dirac")]
+            phi = functions.SeparableFunction([parts[i % 3] for i in range(d)])
+        else:
+            phi = functions.from_name(name, d)
+        boxes = [BOXES[p.name.removeprefix("quad_plus:")] for p in phi.parts]
+        draw = lambda j: np.column_stack([rng.uniform(*box[j], 5) for box in boxes])
+        X, Y, U = draw(0), draw(0), draw(1)
+        # +inf rows: x outside the domain, y on its edge, u* outside the
+        # conjugate domain (where it has an end).
+        X[1, -1], Y[2, 0], U[3, -1] = -1.0, 0.0, 1.0
+        values = functions._part_sums(phi.parts, functions.ScalarLegendre.eval, X)
+        conj = functions._part_sums(phi.parts, functions.ScalarLegendre.eval_conj, U)
+        envelopes = functions._part_sums(phi.parts, functions._envelope, X)
+        bregman = phi._bregman_rows(X, Y).tolist()
+        assert values[1] == bregman[1] == bregman[2] == INF
+        assert (conj[3] == INF) == (phi.parts[-1].name == "burg")
+        for i, (x, y, u) in enumerate(zip(X, Y, U)):
+            assert phi(x) == values[i] == _left_to_right(
+                p.eval(t) for p, t in zip(phi.parts, x.tolist()))
+            assert phi.conjugate_eval(u) == conj[i] == _left_to_right(
+                p.eval_conj(s) for p, s in zip(phi.parts, u.tolist()))
+            assert functions.moreau_envelope(phi, x) == envelopes[i]
+            direct = (phi(x) - phi(y) - float(np.dot(x - y, phi.gradient(y)))
+                      if phi.in_interior(y) and phi(x) < INF else INF)
+            assert phi.bregman(x, y) == bregman[i] == direct
+
+    @pytest.mark.parametrize("name", sorted(BOXES))
+    def test_an_empty_batch_passes_through_the_gradients(self, name):
+        for f in (functions.from_name(name), functions.from_name(name).conjugate_function()):
+            assert f._gradient_at(np.empty((0, 1))).shape == (0, 1)
+            assert f._grad_conj_at(np.empty((0, 1))).shape == (0, 1)
 
 
 class TestCompositeQuadPlus:

@@ -164,6 +164,20 @@ class TestFRGauge:
         b = fr_gauge_bound(bs, q, bs, q, L0, 1.0, [0.25], [0.0])
         assert b.diagnostics["near_boundary"] is False
 
+    def test_equals_the_kt_gauge_on_the_gradient_blocks(self):
+        # C = grad phi, D^{-1} = grad psi*, W_X = grad f, W_Y* = grad g*.
+        f, g, phi, psi = (functions.from_name(n, 2) for n in
+                          ("fermi_dirac", "quadratic", "boltzmann_shannon", "quad_plus:burg"))
+        Lc, x, y_star = np.array([[0.3, -0.2], [0.1, 0.4]]), [0.3, 0.6], [0.5, 1.5]
+        fr = fr_gauge_bound(f, g, phi, psi, Lc, 0.7, x, y_star)
+        kt = kt_gauge_bound(KTInstance(C=GradientOp(phi), D_inv=GradientOp(psi), L=Lc, gamma=0.7,
+                                       W_X=GradientOp(f), W_Ystar=GradientOp(g)), x, y_star)
+        assert (fr.method, kt.method) == ("fr_gauge", "kt_gauge")
+        assert fr.value == kt.value > 0.0 and fr.gamma == kt.gamma
+        assert fr.z.tolist() == kt.z.tolist()
+        assert fr.diagnostics.pop("near_boundary") is False
+        assert fr.diagnostics == kt.diagnostics
+
     def test_gamma_validation(self):
         f = functions.quadratic(1)
         with pytest.raises(ValueError):

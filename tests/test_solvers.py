@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -553,3 +556,23 @@ class TestWarpedResolvent:
         B = GradientOp(functions.quadratic(1))
         z = warped_resolvent(identity(1), A, B, 1.0, np.zeros(1))
         np.testing.assert_allclose(z, 0.0, atol=1e-14)
+
+
+def test_a_mixed_interval_resolvent_does_not_load_numpy_ma():
+    # scipy imports numpy.ma inside pytest, so a fresh interpreter runs the
+    # d = 40 resolvent over (0, inf), (0, 1) and R.
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from haraux import functions, operators, solvers",
+        "parts = [functions.from_name(n).parts[0] for n in ('burg', 'fermi_dirac', 'quadratic')]",
+        "f = functions.SeparableFunction([parts[i % 3] for i in range(40)])",
+        "problem = solvers.ResolventProblem(operators.identity(40), operators.GradientOp(f), 1.0,",
+        "                                   np.linspace(0.1, 0.9, 40))",
+        "solvers.solve_resolvent(problem)",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -87,10 +87,11 @@ def test_bregman_rows_equal_the_bregman_calls():
     X = np.array([[0.5], [2.0], [1.0], [3.0], [0.0]])
     Y = np.array([[1.5], [0.0], [-1.0], [4.0], [1.0]])
     expected = [burg.bregman(x, y) for x, y in zip(X, Y)]
-    assert verification._bregman_rows(burg, X, Y).tolist() == expected
+    assert burg._bregman_rows(X, Y).tolist() == expected
     # z on the edge, z outside, and phi(x) = +inf at x on the edge.
     assert [expected[1], expected[2], expected[4]] == [math.inf] * 3
-    assert verification._bregman_rows(burg, Y[1:3], X[1:3]).tolist() == [
+    # f(x) = +inf in every row: the gradient is taken on an empty batch.
+    assert burg._bregman_rows(Y[1:3], X[1:3]).tolist() == [
         burg.bregman(y, x) for x, y in zip(X[1:3], Y[1:3])]
 
 
