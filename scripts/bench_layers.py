@@ -36,6 +36,11 @@ speed reaches all trees alike. The layers are:
 - ``figure1_cli``: the whole ``haraux figure1 --format csv`` command,
   ``cli.main`` writing the four panel CSVs to a temporary directory; it
   does not depend on d.
+- ``sweep_cli``: the whole ``haraux sweep`` command, ``cli.main`` writing
+  a CSV to a temporary directory, on 100 seeded points of d = 10 times
+  the 10 values of SWEEP_GAMMAS, for each of SWEEP_CASES: Fermi-Dirac
+  ``pairing``, Boltzmann-Shannon ``carlier_fy`` and Burg ``bregman``; it
+  is measured at d = 10 only.
 
 Each tree also records ``src_lines``: the line count (as ``wc -l`` gives
 it) of each module of the ``haraux`` package it imports, and their total.
@@ -75,6 +80,10 @@ TREE_ROUNDS = 3
 SEED = 20251018
 # The suites of verification.run_checks, in the order it runs them.
 VERIFY_SUITES = ("core", "function", "operator", "solver", "bound", "oracle", "gauge")
+SWEEP_CASES = (("fermi_dirac", "pairing"), ("boltzmann_shannon", "carlier_fy"),
+               ("burg", "bregman"))
+SWEEP_GAMMAS = "0.1,0.2,0.3,0.5,0.7,1,2,3,5,10"
+SWEEP_POINTS, SWEEP_DIM = 100, 10
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -218,10 +227,27 @@ def measure():
     with tempfile.TemporaryDirectory() as tmp:
         out["figure1_cli"] = time_call(
             lambda: cli.main(["figure1", "--format", "csv", "--out", tmp]))
+        out["sweep_cli"] = sweep_cli(np, cli, tmp)
 
     if hasattr(solvers, "_ELEMENTWISE_MIN_DIM"):
         out["crossover"] = crossover(solvers, resolvent)
     out["src_lines"] = src_lines(os.path.dirname(haraux.__file__))
+    return out
+
+
+def sweep_cli(np, cli, tmp):
+    """Microseconds per ``haraux sweep`` call of each of SWEEP_CASES."""
+    rng = np.random.default_rng(SEED + 1)
+    out = {}
+    for fn, method in SWEEP_CASES:
+        points = [f"--point={','.join(map(repr, x.tolist()))};{','.join(map(repr, u.tolist()))}"
+                  for x, u in zip(rng.uniform(*X_BOX[fn], (SWEEP_POINTS, SWEEP_DIM)),
+                                  rng.uniform(*U_BOX[fn], (SWEEP_POINTS, SWEEP_DIM)))]
+        argv = ["sweep", "--phi", fn, "--method", method, "--gamma", SWEEP_GAMMAS,
+                "--out", os.path.join(tmp, "sweep.csv")] + points
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"haraux sweep failed on {fn}/{method}")
+        out[f"{fn}/{method}"] = time_call(lambda: cli.main(argv))
     return out
 
 

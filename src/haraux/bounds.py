@@ -68,50 +68,103 @@ def _row_sums(terms, rows):
     return terms.reshape(rows, -1).sum(axis=1)
 
 
-def _kernel_point(W, A, x, u, gamma, rows=1):
-    """Wx, the auxiliary point z = (W + gamma*A)^{-1}(Wx + gamma*u*) that
-    every kernel bound is read off, and the residual of its resolvent
-    equation on each block. ``W.apply`` checks x against the kernel."""
+def _rows(method, A, x, u, gamma, rows=1, W=None, f=None, phi=None, modulus=None):
+    """The bound of ``method`` on each of ``rows`` equal blocks of the
+    coordinates of x and u*: the block values, the auxiliary point z, the
+    route, and the block residuals of the resolvent (None where none is
+    solved).
+
+    This is where each method picks its kernel W, and z is read off the
+    resolvent z = (W + gamma*A)^{-1}(Wx + gamma*u*): pairing and strong
+    take the identity unless W is given, carlier_haraux always, and
+    bregman grad f, or the closed form of a catalog pair. legendre_self
+    and carlier_fy take phi alone, with z = grad phi*((grad phi(x) +
+    gamma*u*) / (1 + gamma)) and z = prox_{gamma phi}(x + gamma*u*).
+    """
+    if method == "legendre_self":
+        x = _match_dim(x, phi.dim)
+        if not phi._inside(x):
+            raise DomainError("x must lie strictly inside dom phi")
+        gx = phi._evaluate("deriv", x)
+        z = phi._grad_conj_at((gx + gamma * u) / (1.0 + gamma))
+        return _row_sums((x - z) * (gx - u), rows) / (1.0 + gamma), z, method, None
+    if method == "carlier_fy":
+        z = _prox(phi, gamma, x + gamma * u, rows)
+        d = x - z
+        return _row_sums(d * d, rows) / gamma, z, method, None
+    if method == "bregman":
+        # (D_f(x,z) + D_f(z,x)) / gamma equals <x - z, grad f(x) - grad f(z)> / gamma.
+        if f is None:
+            raise ValueError("the bregman method needs a kernel function f")
+        if not f._inside(_match_dim(x, f.dim)):
+            raise DomainError("x must lie strictly inside dom f")
+        pair = (f.name, A.f.name if A.f is not None else None)
+        if pair == ("burg", "burg"):
+            terms, z = _burg_self_terms(x, u, gamma)
+            return _row_sums(terms, rows), z, "burg_closed", None
+        if pair == ("fermi_dirac", "boltzmann_shannon"):
+            terms, z = _fermi_dirac_terms(x, u, gamma)
+            return _row_sums(terms, rows) / gamma, z, "fermi_dirac_closed", None
+        W = GradientOp(f)
+    elif W is None or method == "carlier_haraux":
+        W = identity(x.shape[0])
+    route = method
+    if method == "strong":
+        modulus = modulus if modulus is not None else W.modulus
+        if modulus is None:
+            raise ValueError("no modulus declared for the kernel operator")
+        route = "strong" if modulus.kind == "strong" else "modulus"
+    # W.apply checks x against the kernel.
     wx = W.apply(x)
     problem = _StackedProblem(W, A, gamma, wx + gamma * u, rows)
     z = solve_resolvent(problem)
-    return wx, z, problem.residuals
+    if method == "strong":
+        norms = np.linalg.norm((x - z).reshape(rows, -1), axis=1)
+        values = np.array([modulus(t) for t in norms.tolist()])
+    else:
+        values = _row_sums((x - z) * (wx - W._apply(z)), rows)
+    return values / gamma, z, route, problem.residuals
 
 
-def _pairing_rows(W, A, x, u, gamma, rows=1):
-    """<x - z, Wx - Wz> / gamma of each block, z and the block residuals."""
-    wx, z, residuals = _kernel_point(W, A, x, u, gamma, rows)
-    return _row_sums((x - z) * (wx - W._apply(z)), rows) / gamma, z, residuals
+def _bound(method, A, p, gamma, W=None, f=None, phi=None, modulus=None):
+    """The public bound of ``method`` at the pair p: the one-block case of
+    ``_rows`` with its diagnostics, clamped.
 
-
-def _modulus_rows(W, A, x, u, gamma, modulus, rows=1):
-    """modulus(||x - z||) / gamma of each block, z and the block residuals."""
-    _, z, residuals = _kernel_point(W, A, x, u, gamma, rows)
-    norms = np.linalg.norm((x - z).reshape(rows, -1), axis=1)
-    return np.array([modulus(t) for t in norms.tolist()]) / gamma, z, residuals
-
-
-def _pairing_value(W, A, x, u, gamma):
-    """(<x - z, Wx - Wz> / gamma, z, diagnostics) at the auxiliary point z."""
-    values, z, residuals = _pairing_rows(W, A, x, u, gamma)
-    return float(values[0]), z, {"residual": float(residuals[0])}
+    The closed-form Bregman values are authoritative; the generic solver
+    result is recorded in the diagnostics as a cross-check, and so is its
+    failure, which leaves the closed form standing.
+    """
+    x, u = p.x, p.u_star
+    values, z, route, residuals = _rows(method, A, x, u, gamma, 1, W, f, phi, modulus)
+    diag = {} if residuals is None else {"residual": float(residuals[0])}
+    if method == "bregman":
+        if residuals is None:
+            # x passed the interior test of _rows.
+            W = GradientOp(f)
+            problem = ResolventProblem(W, A, gamma, f._evaluate("deriv", x) + gamma * u)
+            try:
+                z_num = solve_resolvent(problem)
+                diag["solver_z_gap"] = float(np.max(np.abs(z - z_num)))
+                diag["residual"] = float(problem.residuals[0])
+            except (NoSolutionError, ConvergenceError) as exc:
+                diag["crosscheck_error"] = f"{type(exc).__name__}: {exc}"
+                # Without a cross-check the residual is taken at the
+                # closed-form z; it is +inf when that z rounded onto an end
+                # of dom f, where the gradient is not evaluated.
+                diag["residual"] = (float(_row_residuals(W, A, gamma, z, problem.rhs, 1)[0])
+                                    if f._inside(z) else math.inf)
+        diag["near_boundary"] = f._near_boundary(z)
+    return _finalize(float(values[0]), z, route, gamma, diag)
 
 
 def bound_pairing(W, A, p, gamma):
     """<x - z, Wx - Wz> / gamma with z = (W + gamma*A)^{-1}(Wx + gamma*u*)."""
-    value, z, diag = _pairing_value(W, A, p.x, p.u_star, gamma)
-    return _finalize(value, z, "pairing", gamma, diag)
+    return _bound("pairing", A, p, gamma, W=W)
 
 
 def bound_modulus(W, A, p, gamma, modulus=None):
     """phi(||x - z||) / gamma for a declared uniform-monotonicity modulus."""
-    modulus = modulus if modulus is not None else W.modulus
-    if modulus is None:
-        raise ValueError("no modulus declared for the kernel operator")
-    values, z, residuals = _modulus_rows(W, A, p.x, p.u_star, gamma, modulus)
-    method = "strong" if modulus.kind == "strong" else "modulus"
-    return _finalize(float(values[0]), z, method, gamma,
-                     {"residual": float(residuals[0])})
+    return _bound("strong", A, p, gamma, W=W, modulus=modulus)
 
 
 def burg_self_bound_closed(x, u, gamma):
@@ -213,90 +266,28 @@ def _fermi_dirac_terms(x, u, gamma):
     return terms, zeta
 
 
-def _bregman_rows(f, A, x, u, gamma, rows=1):
-    """(D_f(x,z) + D_f(z,x)) / gamma of each block, z, the route, and the
-    block residuals of the generic route (None on the closed forms)."""
-    if not f._inside(x):
-        raise DomainError("x must lie strictly inside dom f")
-    pair = (f.name, A.f.name if A.f is not None else None)
-    if pair == ("burg", "burg"):
-        terms, z = _burg_self_terms(x, u, gamma)
-        return _row_sums(terms, rows), z, "burg_closed", None
-    if pair == ("fermi_dirac", "boltzmann_shannon"):
-        terms, z = _fermi_dirac_terms(x, u, gamma)
-        return _row_sums(terms, rows) / gamma, z, "fermi_dirac_closed", None
-    values, z, residuals = _pairing_rows(GradientOp(f), A, x, u, gamma, rows)
-    return values, z, "bregman", residuals
-
-
 def bound_bregman(f, A, p, gamma):
-    """(D_f(x,z) + D_f(z,x)) / gamma with z from the Bregman-type resolvent.
-
-    The sum equals <x - z, grad f(x) - grad f(z)>, so the generic route is
-    the pairing bound with kernel grad f. Catalog pairs (Burg self-pair,
-    Fermi-Dirac over Boltzmann-Shannon) use their closed forms as the
-    authoritative value; the generic solver result is recorded in the
-    diagnostics as a cross-check, and so is its failure, which leaves the
-    closed form standing.
-    """
-    x, u = _match_dim(p.x, f.dim), p.u_star
-    values, z, method, residuals = _bregman_rows(f, A, x, u, gamma)
-    if residuals is not None:
-        diag = {"residual": float(residuals[0])}
-    else:
-        # x passed the interior test of _bregman_rows.
-        W, diag = GradientOp(f), {}
-        problem = ResolventProblem(W, A, gamma, f._evaluate("deriv", x) + gamma * u)
-        try:
-            z_num = solve_resolvent(problem)
-            diag["solver_z_gap"] = float(np.max(np.abs(z - z_num)))
-            diag["residual"] = float(problem.residuals[0])
-        except (NoSolutionError, ConvergenceError) as exc:
-            diag["crosscheck_error"] = f"{type(exc).__name__}: {exc}"
-            # Without a cross-check the residual is taken at the
-            # closed-form z; it is +inf when that z rounded onto an end of
-            # dom f, where the gradient is not evaluated.
-            diag["residual"] = (float(_row_residuals(W, A, gamma, z, problem.rhs, 1)[0])
-                                if f._inside(z) else math.inf)
-    diag["near_boundary"] = f._near_boundary(z)
-    return _finalize(float(values[0]), z, method, gamma, diag)
-
-
-def _legendre_self_rows(phi, x, u, gamma, rows=1):
-    """<x - z, grad phi(x) - u*> / (1 + gamma) of each block, and z."""
-    if not phi._inside(x):
-        raise DomainError("x must lie strictly inside dom phi")
-    gx = phi._evaluate("deriv", x)
-    z = phi._grad_conj_at((gx + gamma * u) / (1.0 + gamma))
-    return _row_sums((x - z) * (gx - u), rows) / (1.0 + gamma), z
+    """(D_f(x,z) + D_f(z,x)) / gamma with z from the Bregman-type resolvent:
+    the pairing bound with kernel grad f, or the closed form of a catalog
+    pair (Burg self-pair, Fermi-Dirac over Boltzmann-Shannon)."""
+    return _bound("bregman", A, p, gamma, f=f)
 
 
 def bound_legendre_self(phi, p, gamma):
     """<x - z, grad phi(x) - u*> / (1 + gamma) with
     z = grad phi*((grad phi(x) + gamma*u*) / (1 + gamma))."""
-    values, z = _legendre_self_rows(phi, _match_dim(p.x, phi.dim), p.u_star, gamma)
-    return _finalize(float(values[0]), z, "legendre_self", gamma, {})
+    return _bound("legendre_self", None, p, gamma, phi=phi)
 
 
 def bound_carlier_haraux(A, p, gamma):
     """Baseline ||x - J_{gamma A}(x + gamma*u*)||^2 / gamma: the pairing
     bound with kernel W = Id."""
-    value, z, diag = _pairing_value(identity(p.dim), A, p.x, p.u_star, gamma)
-    return _finalize(value, z, "carlier_haraux", gamma, diag)
-
-
-def _carlier_fy_rows(phi, x, u, gamma, rows=1):
-    """||x - prox_{gamma phi}(x + gamma*u*)||^2 / gamma of each block, and
-    the prox."""
-    z = _prox(phi, gamma, x + gamma * u, rows)
-    d = x - z
-    return _row_sums(d * d, rows) / gamma, z
+    return _bound("carlier_haraux", A, p, gamma)
 
 
 def bound_carlier_fy(phi, p, gamma):
     """Baseline ||x - prox_{gamma phi}(x + gamma*u*)||^2 / gamma."""
-    values, z = _carlier_fy_rows(phi, p.x, p.u_star, gamma)
-    return _finalize(float(values[0]), z, "carlier_fy", gamma, {})
+    return _bound("carlier_fy", None, p, gamma, phi=phi)
 
 
 FY_METHODS = ("pairing", "strong", "bregman", "legendre_self", "carlier_fy")
@@ -318,17 +309,13 @@ def fy_bound_dispatch(phi, f, p, gamma, method):
 
 
 def _operator_bound(A, p, gamma, method, W=None, f=None):
-    """The lower bounds on H_A(x, u*) read off a kernel resolvent. The
-    kernel W of pairing and strong defaults to the identity; bregman takes
-    its kernel from the Legendre function f."""
-    if method in ("pairing", "strong"):
-        W = W if W is not None else identity(p.dim)
-        if method == "pairing":
-            return bound_pairing(W, A, p, gamma)
+    """The lower bounds on H_A(x, u*) read off a kernel resolvent: the
+    kernel W of pairing and strong, and the function f of bregman."""
+    if method == "pairing":
+        return bound_pairing(W, A, p, gamma)
+    if method == "strong":
         return bound_modulus(W, A, p, gamma)
     if method == "bregman":
-        if f is None:
-            raise ValueError("the bregman method needs a kernel function f")
         return bound_bregman(f, A, p, gamma)
     if method == "carlier_haraux":
         return bound_carlier_haraux(A, p, gamma)
@@ -355,27 +342,15 @@ def _fy_rows(phi, X, U, gamma, method, f=None):
     for g in (phi, f):
         if g is not None and g.dim != d:
             raise DomainError(f"rows of dimension {d} for a function of dimension {g.dim}")
+    if method not in FY_METHODS:
+        raise ValueError(f"unknown method {method!r}")
     big = SeparableFunction(phi.parts * k)
     kernel = SeparableFunction(f.parts * k) if f is not None else None
+    W = GradientOp(kernel) if method == "pairing" and kernel is not None else None
     p = DualPair(X.ravel(), U.ravel())
-    x, u = p.x, p.u_star
-    if method == "carlier_fy":
-        values, z = _carlier_fy_rows(big, x, u, gamma, k)
-    elif method == "legendre_self":
-        values, z = _legendre_self_rows(big, x, u, gamma, k)
-    elif method == "bregman":
-        kernel = kernel if kernel is not None else big
-        values, z, method, _ = _bregman_rows(kernel, GradientOp(big), x, u, gamma, k)
-    elif method in ("pairing", "strong"):
-        A = GradientOp(big)
-        W = GradientOp(kernel) if method == "pairing" and kernel is not None else identity(k * d)
-        if method == "pairing":
-            values, z, _ = _pairing_rows(W, A, x, u, gamma, k)
-        else:
-            values, z, _ = _modulus_rows(W, A, x, u, gamma, W.modulus, k)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return np.array([_clamp(v, method, {}) for v in values.tolist()]), z.reshape(k, d)
+    values, z, route, _ = _rows(method, GradientOp(big), p.x, p.u_star, gamma, k, W=W,
+                                f=kernel if kernel is not None else big, phi=big)
+    return np.array([_clamp(v, route, {}) for v in values.tolist()]), z.reshape(k, d)
 
 
 def exact_fenchel_young(phi, p):

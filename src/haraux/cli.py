@@ -35,6 +35,10 @@ FIGURE_HEADER = ["x", "u_star", "new_bound", "carlier_bound", "exact_L"]
 VERIFY_HEADER = ["module", "check", "status", "measured", "threshold", "seed", "suite_s"]
 GAUGE_HEADER = ["x", "y_star", "gauge_value", "component_primal", "component_dual"]
 BOUND_METHODS = sorted(bounds.FY_METHODS + ("carlier_haraux",))
+# The flags each route (--phi, else --op-a) reads besides its own, and the
+# methods that read them; any other flag given is a configuration error.
+_ROUTE_READS = {"phi": {"f": ("pairing", "bregman")},
+               "op_a": {"f": ("bregman",), "op_w": ("pairing", "strong")}}
 
 
 class ConfigError(ValueError):
@@ -429,6 +433,12 @@ def _resolve_bound_defaults(args):
     if args.method == "bregman" and args.op_a and not args.phi and not args.f:
         raise ConfigError("method 'bregman' on --op-a needs its kernel function: "
                           "pass --f")
+    route = "phi" if args.phi else "op_a" if args.op_a else None
+    for key in ("f", "op_a", "op_w") if route else ():
+        reads = _ROUTE_READS[route].get(key, ())
+        if key != route and getattr(args, key) and args.method not in reads:
+            raise ConfigError(f"method {args.method!r} with --{route.replace('_', '-')} "
+                              f"does not read --{key.replace('_', '-')}")
 
 
 def main(argv=None):

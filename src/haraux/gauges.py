@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_vector
-from .functions import SeparableFunction
+from .functions import SeparableFunction, _match_dim
 from .operators import (
     AffineOp,
     DiagonalOp,
@@ -19,7 +19,7 @@ from .operators import (
     SkewPDOp,
     UniformModulus,
 )
-from .bounds import _finalize, _pairing_value
+from .bounds import _finalize, _rows
 
 
 @dataclass
@@ -69,14 +69,16 @@ def primal_primal_bound(inst, x, y):
     for the direct-sum operator; the diagonal y = x gives the gauge."""
     x = as_vector(x)
     gamma = inst.gamma
-    value, z, diag = _pairing_value(inst.W, inst.A, x, -inst.B.apply(y), gamma)
+    values, z, _, residuals = _rows("pairing", inst.A, x, -inst.B.apply(y), gamma, W=inst.W)
+    diag = {"residual": float(residuals[0])}
     if inst.modulus is not None:
         diag["modulus_value"] = inst.modulus(float(np.linalg.norm(x - z))) / gamma
     if inst.f is not None:
-        diag["bregman_value"] = (
-            inst.f.bregman(x, z) + inst.f.bregman(z, x)
-        ) / gamma
-    return _finalize(value, z, "theta", gamma, diag)
+        # D_f(x, z) and D_f(z, x) as the two rows of one call.
+        X = np.stack([_match_dim(x, inst.f.dim), z])
+        terms = inst.f._bregman_rows(X, X[::-1])
+        diag["bregman_value"] = float(terms[0] + terms[1]) / gamma
+    return _finalize(float(values[0]), z, "theta", gamma, diag)
 
 
 def theta_bound(inst, x):
@@ -90,12 +92,13 @@ def _kt_gauge(inst, x, y_star):
     x = as_vector(x)
     y_star = as_vector(y_star)
     gamma, L = inst.gamma, inst.L
-    comp_x, zx, diag_x = _pairing_value(inst.W_X, inst.C, x, -(L.T @ y_star), gamma)
-    comp_y, zy, diag_y = _pairing_value(inst.W_Ystar, inst.D_inv, y_star, L @ x, gamma)
+    comp_x, zx, _, res_x = _rows("pairing", inst.C, x, -(L.T @ y_star), gamma, W=inst.W_X)
+    comp_y, zy, _, res_y = _rows("pairing", inst.D_inv, y_star, L @ x, gamma, W=inst.W_Ystar)
+    comp_x, comp_y = float(comp_x[0]), float(comp_y[0])
     diag = {
         "component_primal": max(comp_x, 0.0),
         "component_dual": max(comp_y, 0.0),
-        "residual": max(diag_x["residual"], diag_y["residual"]),
+        "residual": float(max(res_x[0], res_y[0])),
     }
     return comp_x + comp_y, np.concatenate([zx, zy]), diag
 

@@ -380,6 +380,12 @@ class SkewPDOp(MonotoneOperator):
         xp, ys = x[: self.n], x[self.n :]
         return np.concatenate([self.L.T @ ys, -self.L @ xp])
 
+    def as_affine(self):
+        M = np.zeros((self.dim_in, self.dim_in))
+        M[: self.n, self.n :] = self.L.T
+        M[self.n :, : self.n] = -self.L
+        return M, np.zeros(self.dim_in)
+
 
 def monotonicity_probe(op, box, n=200, seed=0, modulus=None):
     """Empirical check of the graph pairing <x - y, Ax - Ay> >= 0.

@@ -12,9 +12,8 @@ import numpy as np
 
 
 DEFAULT_SEED = 0x48415241
-# Dense-grid defaults; escalation doubles n_per_dim up to the cap.
+# Dense-grid default; each escalation refines n_per_dim to 2n - 1, up to the cap.
 DEFAULT_N_1D = 4096
-DEFAULT_N_2D = 257
 ESCALATION_CAP_1D = 2**16
 _BOX_CLIP = 10.0
 _BOX_SHRINK = 1e-6

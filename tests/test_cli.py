@@ -87,6 +87,27 @@ class TestBoundCommand:
         assert err.startswith("error:") and "--f" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("method", ["pairing", "strong", "carlier_haraux"])
+    def test_skew_solves_as_its_affine_matrix(self, capsys, tmp_path, method):
+        # skew:L is the linear map (x, y*) -> (L^T y*, -L x), so it bounds
+        # exactly as affine: of M = [[0, L^T], [-L, 0]].
+        L = np.array([[1.0, 2.0], [0.5, -1.0]])
+        M = np.block([[np.zeros((2, 2)), L.T], [-L, np.zeros((2, 2))]])
+        np.savetxt(tmp_path / "L.txt", L)
+        np.savetxt(tmp_path / "M.txt", M)
+        rows = {}
+        for spec in ("skew:" + str(tmp_path / "L.txt"), "affine:" + str(tmp_path / "M.txt")):
+            code, out, err = _run(capsys, ["sweep", "--op-a", spec, "--method", method,
+                                           "--gamma", "0.1,1,10", "--point", "1,2,0,1;0,0,1,1",
+                                           "--point=-1,0.5,2,3;1,-2,0,4"])
+            assert code == cli.EXIT_OK and err == ""
+            rows[spec[:4]] = [dict(zip(cli.BOUND_HEADER, line.split(",")))
+                              for line in out.strip().splitlines()[1:]]
+        assert len(rows["skew"]) == 6
+        for skew, affine in zip(rows["skew"], rows["affi"]):
+            assert (skew["bound"], skew["z"]) == (affine["bound"], affine["z"])
+            assert skew["method"] == method
+
     def test_joca16_on_a_half_line_psi(self, capsys):
         # psi = t ln t - t has psi'' = 1/t, so its derivative is not
         # 25-Lipschitz on (0, inf) and the operator is not monotone: a
@@ -193,6 +214,33 @@ def test_catalog_input_never_ends_in_a_traceback(capsys, flags):
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     if flags[0] == "--phi" and flags[3] == "carlier_haraux":
         assert code == cli.EXIT_CONFIG and "--op-a" in err
+
+
+_UNREAD_FLAGS = [
+    ("--f", ["--phi", "burg", "--f", "fermi_dirac", "--method", "legendre_self"]),
+    ("--f", ["--phi", "burg", "--f", "quadratic", "--method", "strong"]),
+    ("--op-a", ["--phi", "burg", "--op-a", "grad:quadratic", "--method", "pairing"]),
+    ("--op-w", ["--phi", "burg", "--op-w", "grad:quadratic", "--method", "pairing"]),
+    ("--op-w", ["--op-a", "grad:burg", "--op-w", "grad:quadratic", "--f", "burg",
+                "--method", "bregman"]),
+    ("--op-w", ["--op-a", "grad:burg", "--op-w", "grad:quadratic", "--method", "carlier_haraux"]),
+    ("--f", ["--op-a", "grad:burg", "--f", "quadratic", "--method", "pairing"]),
+]
+
+
+@pytest.mark.parametrize("flag, flags", _UNREAD_FLAGS,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_a_flag_the_route_does_not_read_is_a_config_error(capsys, tmp_path, flag, flags):
+    code, out, err = _run(capsys, ["bound", "--point", "0.5;-0.5"] + flags)
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert f"does not read {flag}" in err
+    # A --config file is held to the same rule.
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{flag[2:]}={flags[flags.index(flag) + 1]}\n")
+    rest = flags[:flags.index(flag)] + flags[flags.index(flag) + 2:]
+    code, out, err = _run(capsys, ["--config", str(cfg), "bound", "--point", "0.5;-0.5"] + rest)
+    assert code == cli.EXIT_CONFIG and out == "" and f"does not read {flag}" in err
 
 
 class TestVerifyCommand:

@@ -59,8 +59,8 @@ def test_each_row_is_clamped_alone(monkeypatch):
     # Noise below zero clamps to zero row by row, and the first row below
     # the clamp tolerance raises, as _finalize does for one pair.
     values = np.array([0.5, -1e-13, -1e-6, -2e-6])
-    monkeypatch.setattr(bounds, "_legendre_self_rows",
-                        lambda *args: (values[:len(args[1])], np.zeros(len(args[1]))))
+    monkeypatch.setattr(bounds, "_rows", lambda method, A, x, u, gamma, rows, **kernel:
+                        (values[:rows], np.zeros(rows), method, None))
     X, U = np.ones((4, 1)), -np.ones((4, 1))
     with pytest.raises(InternalConsistencyError,
                        match="legendre_self bound evaluated to -1.000000e-06"):

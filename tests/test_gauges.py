@@ -75,6 +75,17 @@ class TestThetaGauge:
         assert b.diagnostics["modulus_value"] == pytest.approx(b.value, abs=1e-12)
         assert b.diagnostics["bregman_value"] == pytest.approx(b.value, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 1000])
+    def test_bregman_value_is_the_two_bregman_calls(self, d):
+        rng = np.random.default_rng(d)
+        burg = functions.burg(d)
+        inst = InclusionInstance(A=GradientOp(burg), B=identity(d), W=identity(d),
+                                 gamma=0.7, f=burg)
+        x, y = rng.uniform(0.5, 2.0, d), rng.uniform(0.5, 2.0, d)
+        b = primal_primal_bound(inst, x, y)
+        expected = (burg.bregman(x, b.z) + burg.bregman(b.z, x)) / 0.7
+        assert b.diagnostics["bregman_value"] == expected
+
 
 class TestKTGauge:
     def test_zero_at_kt_point(self, kt):

@@ -209,6 +209,15 @@ class TestSkewPDOp:
         out = op.apply([1.0, 1.0, 1.0, 1.0])
         np.testing.assert_allclose(out, [1.0, 2.0, -1.0, -2.0])
 
+    def test_affine_form_is_the_map(self, rng):
+        L = rng.normal(size=(2, 3))
+        op = SkewPDOp(L)
+        M, b = op.as_affine()
+        assert M.shape == (5, 5) and b.tolist() == [0.0] * 5
+        np.testing.assert_array_equal(M + M.T, np.zeros((5, 5)))
+        for v in rng.normal(size=(10, 5)):
+            np.testing.assert_allclose(M @ v + b, op.apply(v), rtol=1e-15, atol=1e-15)
+
 
 class TestMonotonicityProbe:
     def test_reports_modulus_slack(self):

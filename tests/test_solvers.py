@@ -15,7 +15,7 @@ from haraux.operators import (
     AffineOp,
     GradientOp,
     Joca16Op,
-    SkewPDOp,
+    MonotoneOperator,
     SubdifferentialOp,
     identity,
 )
@@ -506,9 +506,17 @@ class TestSolveResolvent:
             assert z.tobytes() == z_ref.tobytes()
 
     def test_unsupported_pair_raises(self):
+        # An operator that gives only apply: not affine, not separable,
+        # and without a Jacobian.
+        class ApplyOnly(MonotoneOperator):
+            dim_in = 4
+
+            def apply(self, x):
+                return np.asarray(x, dtype=float)
+
         W = identity(4)
-        A = SkewPDOp(np.eye(2))
-        with pytest.raises(UnsupportedOperatorError):
+        A = ApplyOnly()
+        with pytest.raises(UnsupportedOperatorError, match="no resolvent route"):
             solve_resolvent(ResolventProblem(W, A, 1.0, np.zeros(4)))
 
 
