@@ -345,11 +345,11 @@ def _fy_rows(phi, X, U, gamma, method, f=None):
     if method not in FY_METHODS:
         raise ValueError(f"unknown method {method!r}")
     big = SeparableFunction(phi.parts * k)
-    kernel = SeparableFunction(f.parts * k) if f is not None else None
-    W = GradientOp(kernel) if method == "pairing" and kernel is not None else None
+    kernel = SeparableFunction(f.parts * k) if f is not None else big
+    W = GradientOp(kernel) if method == "pairing" and f is not None else None
     p = DualPair(X.ravel(), U.ravel())
-    values, z, route, _ = _rows(method, GradientOp(big), p.x, p.u_star, gamma, k, W=W,
-                                f=kernel if kernel is not None else big, phi=big)
+    values, z, route, _ = _rows(method, GradientOp(big), p.x, p.u_star, gamma, k,
+                                W=W, f=kernel, phi=big)
     return np.array([_clamp(v, route, {}) for v in values.tolist()]), z.reshape(k, d)
 
 
