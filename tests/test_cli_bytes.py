@@ -24,7 +24,9 @@ def paths(tmp_path_factory):
     return {name: str(root / name) for name in PIN["files"]}
 
 
-@pytest.mark.parametrize("entry", PIN["calls"], ids=lambda e: " ".join(e["argv"][:7]))
+@pytest.mark.parametrize("entry", [
+    pytest.param(e, id=f"{i:03d} " + " ".join(a for a in e["argv"] if "--point" not in a))
+    for i, e in enumerate(PIN["calls"])])
 def test_call_gives_the_pinned_bytes(entry, paths):
     argv = entry["argv"]
     for name, path in paths.items():
