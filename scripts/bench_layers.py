@@ -23,6 +23,12 @@ speed reaches all trees alike. The layers are:
   and the exact value at one point: ``burg`` (``legendre_self``) and
   ``fermi_dirac_bs`` (``bound_bregman`` with kernel Fermi-Dirac over
   subdiff(Boltzmann-Shannon)); they do not depend on d;
+- ``boundary_point``: the boundary op of the benchmark's certify
+  workload at d = 1, the five Fenchel-Young methods through
+  ``fy_bound_dispatch`` and ``bound_bregman`` of Fermi-Dirac over
+  subdiff(Boltzmann-Shannon) at gamma = 1, a method that raises caught as
+  there; at one point per open edge of BOUNDARY_EDGES, at each distance of
+  BOUNDARY_DELTAS from it, with u* = BOUNDARY_U; it does not depend on d;
 - ``sample_graph``: the oracle grid of subdiff(burg); a d-dimensional grid
   has n^d points, so it is measured at d = 1 (4096 points), d = 2
   (129 x 129) and d = 10 (2 per axis) only; and, under the key
@@ -84,6 +90,11 @@ SWEEP_CASES = (("fermi_dirac", "pairing"), ("boltzmann_shannon", "carlier_fy"),
                ("burg", "bregman"))
 SWEEP_GAMMAS = "0.1,0.2,0.3,0.5,0.7,1,2,3,5,10"
 SWEEP_POINTS, SWEEP_DIM = 100, 10
+# The open domain edges of the certify workload's boundary slice.
+BOUNDARY_EDGES = (("burg", 0.0), ("boltzmann_shannon", 0.0), ("fermi_dirac", 0.0),
+                  ("fermi_dirac", 1.0))
+BOUNDARY_DELTAS = (1e-12, 1e-6, 1e-1)
+BOUNDARY_U = 1.0
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -211,6 +222,24 @@ def measure():
 
     out["figure1_point"] = {"burg": time_call(burg_point),
                             "fermi_dirac_bs": time_call(fermi_dirac_bs_point)}
+
+    def boundary_point(phi, p):
+        for method in bounds.FY_METHODS + ("fermi_dirac_over_bs",):
+            try:
+                if method == "fermi_dirac_over_bs":
+                    bounds.bound_bregman(fd, A_bs, p, 1.0)
+                else:
+                    bounds.fy_bound_dispatch(phi, None, p, 1.0, method)
+            except Exception:  # a failing method is part of the op, as in certify
+                pass
+
+    out["boundary_point"] = {}
+    for name, edge in BOUNDARY_EDGES:
+        phi = functions.from_name(name)
+        costs = out["boundary_point"][f"{name}@{edge:g}"] = {}
+        for delta in BOUNDARY_DELTAS:
+            p = DualPair([edge + delta if edge == 0.0 else edge - delta], [BOUNDARY_U])
+            costs[f"{delta:g}"] = time_call(lambda: boundary_point(phi, p))
 
     for d, n in ((1, oracle.DEFAULT_N_1D), (2, 129), (10, 2)):
         A = operators.SubdifferentialOp(functions.burg(d))

@@ -122,7 +122,7 @@ def _rows(method, A, x, u, gamma, rows=1, W=None, f=None, phi=None, modulus=None
         norms = np.linalg.norm((x - z).reshape(rows, -1), axis=1)
         values = np.array([modulus(t) for t in norms.tolist()])
     else:
-        values = _row_sums((x - z) * (wx - W._apply(z)), rows)
+        values = _row_sums((x - z) * (wx - problem.wz), rows)
     return values / gamma, z, route, problem.residuals
 
 
@@ -151,8 +151,9 @@ def _bound(method, A, p, gamma, W=None, f=None, phi=None, modulus=None):
                 # Without a cross-check the residual is taken at the
                 # closed-form z; it is +inf when that z rounded onto an end
                 # of dom f, where the gradient is not evaluated.
-                diag["residual"] = (float(_row_residuals(W, A, gamma, z, problem.rhs, 1)[0])
-                                    if f._inside(z) else math.inf)
+                diag["residual"] = (
+                    float(_row_residuals(W._apply(z), A._apply(z), gamma, problem.rhs, 1)[0])
+                    if f._inside(z) else math.inf)
         diag["near_boundary"] = f._near_boundary(z)
     return _finalize(float(values[0]), z, route, gamma, diag)
 

@@ -38,7 +38,7 @@ BOUND_METHODS = sorted(bounds.FY_METHODS + ("carlier_haraux",))
 # The flags each route (--phi, else --op-a) reads besides its own, and the
 # methods that read them; any other flag given is a configuration error.
 _ROUTE_READS = {"phi": {"f": ("pairing", "bregman")},
-               "op_a": {"f": ("bregman",), "op_w": ("pairing", "strong")}}
+               "op_a": {"f": ("bregman",), "op_w": ("pairing",)}}
 
 
 class ConfigError(ValueError):

@@ -12,7 +12,7 @@ takes its inverse derivative and conjugate from the prox of psi.
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, partial, reduce
 from itertools import cycle
 from types import SimpleNamespace
 
@@ -117,6 +117,27 @@ class ScalarLegendre:
         )
 
 
+@dataclass(frozen=True)
+class SeparableTerms:
+    """An operator that decouples coordinatewise, as whole-vector forms.
+
+    ``value(z)`` and ``deriv(z)`` evaluate each coordinate's term and its
+    derivative at the entries of z, which lie in the operator's
+    ``domain()``; ``inverse(s)`` inverts ``value`` on the open intervals
+    (inv_lo, inv_hi). ``deriv`` is None when a term has no derivative,
+    and ``inverse`` with its intervals when a term has no closed-form
+    inverse. ``term(i)`` is coordinate i as float callables: (value,
+    derivative, inverse, inverse interval).
+    """
+
+    value: callable
+    deriv: callable
+    term: callable
+    inverse: callable = None
+    inv_lo: np.ndarray = None
+    inv_hi: np.ndarray = None
+
+
 def _check_dim(x, dim):
     """x as a vector, checked against the dimension of a function."""
     return _match_dim(as_vector(x), dim)
@@ -172,6 +193,11 @@ class SeparableFunction:
         self.name = names.pop() if len(names) == 1 else "mixed"
         self.dom_lo, self.dom_hi = _bounds([p.dom for p in parts])
         self.conj_lo, self.conj_hi = _bounds([p.conj_dom for p in parts])
+        # _near_boundary's distance from each end: BOUNDARY_TOL * max(1, |end|)
+        # from a finite end, none from an infinite one.
+        self._near_lo, self._near_hi = (
+            np.where(np.isfinite(end), BOUNDARY_TOL * np.maximum(1.0, abs(end)), 0.0)
+            for end in (self.dom_lo, self.dom_hi))
 
     def __call__(self, x):
         x = _check_dim(x, self.dim)
@@ -195,9 +221,21 @@ class SeparableFunction:
 
     def _near_boundary(self, x):
         """Whether a coordinate of x is within BOUNDARY_TOL * max(1, |end|) of an end."""
-        lo, hi = self.dom_lo, self.dom_hi
-        tol = lambda end: np.where(np.isfinite(end), BOUNDARY_TOL * np.maximum(1.0, abs(end)), 0.0)
-        return not ((x - lo > tol(lo)) & (hi - x > tol(hi))).all()
+        return not ((x - self.dom_lo > self._near_lo) & (self.dom_hi - x > self._near_hi)).all()
+
+    @cached_property
+    def _gradient_terms(self):
+        """The gradient as a SeparableTerms record, built on first use and
+        kept: the function does not change after __init__."""
+        deriv2 = all(p.deriv2 is not None for p, _ in self.groups)
+        return SeparableTerms(
+            value=partial(self._evaluate, "deriv"),
+            deriv=partial(self._evaluate, "deriv2") if deriv2 else None,
+            term=lambda i: _part_term(self.parts[i]),
+            inverse=partial(self._evaluate, "deriv_inv"),
+            inv_lo=self.conj_lo,
+            inv_hi=self.conj_hi,
+        )
 
     def in_interior(self, x):
         return self._inside(_check_dim(x, self.dim))
@@ -261,6 +299,10 @@ class SeparableFunction:
     def conjugate_function(self):
         conjugates = {id(p): p.conjugate() for p, _ in self.groups}
         return SeparableFunction([conjugates[id(p)] for p in self.parts])
+
+
+def _part_term(p):
+    return p.deriv, p.deriv2, p.deriv_inv, p.conj_dom
 
 
 def _part_sums(parts, value, X):

@@ -3,12 +3,21 @@ maps, the R^2 rotation-plus-gradient example, and uniform-monotonicity
 moduli."""
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
 
 from .core import INF, DomainError, as_vector
-from .functions import _EXP_SAFE, ScalarLegendre, SeparableFunction
+from .functions import _EXP_SAFE, ScalarLegendre, SeparableFunction, SeparableTerms
+
+
+@lru_cache(maxsize=64)
+def _whole_space(dim):
+    """The ends (lo, hi) of R^dim as an open box: read-only arrays, one pair per dim."""
+    box = np.full(dim, -INF), np.full(dim, INF)
+    for end in box:
+        end.flags.writeable = False
+    return box
 
 
 @dataclass(frozen=True)
@@ -122,33 +131,12 @@ class MonotoneOperator:
         """(lo, hi): the domain is the open box of the intervals (lo[i], hi[i]).
 
         The arrays may be the operator's own; callers do not write to them."""
-        return np.full(self.dim_in, -INF), np.full(self.dim_in, INF)
+        return _whole_space(self.dim_in)
 
     def jacobian(self, z):
         """The Jacobian at z, or None when the operator gives none."""
         affine = self.as_affine()
         return None if affine is None else affine[0]
-
-
-@dataclass(frozen=True)
-class SeparableTerms:
-    """An operator that decouples coordinatewise, as whole-vector forms.
-
-    ``value(z)`` and ``deriv(z)`` evaluate each coordinate's term and its
-    derivative at the entries of z, which lie in the operator's
-    ``domain()``; ``inverse(s)`` inverts ``value`` on the open intervals
-    (inv_lo, inv_hi). ``deriv`` is None when a term has no derivative,
-    and ``inverse`` with its intervals when a term has no closed-form
-    inverse. ``term(i)`` is coordinate i as float callables: (value,
-    derivative, inverse, inverse interval).
-    """
-
-    value: callable
-    deriv: callable
-    term: callable
-    inverse: callable = None
-    inv_lo: np.ndarray = None
-    inv_hi: np.ndarray = None
 
 
 def _linear_terms(m, c):
@@ -159,10 +147,6 @@ def _linear_terms(m, c):
         return lambda z: mi * z + ci, lambda z: mi, None, None
 
     return SeparableTerms(value=lambda z: m * z + c, deriv=lambda z: m, term=term)
-
-
-def _part_term(p):
-    return p.deriv, p.deriv2, p.deriv_inv, p.conj_dom
 
 
 class GradientOp(MonotoneOperator):
@@ -188,26 +172,15 @@ class GradientOp(MonotoneOperator):
         return self.f._gradient_at(_rows(Y, self.dim_in))
 
     def separable_terms(self):
-        f = self.f
-        return SeparableTerms(
-            value=partial(f._evaluate, "deriv"),
-            deriv=partial(f._evaluate, "deriv2") if self._has_deriv2() else None,
-            term=lambda i: _part_term(f.parts[i]),
-            inverse=partial(f._evaluate, "deriv_inv"),
-            inv_lo=f.conj_lo,
-            inv_hi=f.conj_hi,
-        )
-
-    def _has_deriv2(self):
-        return all(p.deriv2 is not None for p, _ in self.f.groups)
+        # One record per function: every GradientOp(f) shares f's.
+        return self.f._gradient_terms
 
     def domain(self):
         return self.f.dom_lo, self.f.dom_hi
 
     def jacobian(self, z):
-        if not self._has_deriv2():
-            return None
-        return np.diag(self.f._evaluate("deriv2", z))
+        deriv2 = self.f._gradient_terms.deriv
+        return None if deriv2 is None else np.diag(deriv2(z))
 
 
 SubdifferentialOp = GradientOp
@@ -276,6 +249,7 @@ class DiagonalOp(MonotoneOperator):
         self.b = b
         self.dim_in = d.shape[0]
         self.modulus = modulus
+        self._terms = _linear_terms(d, b)
 
     def apply(self, x):
         x = as_vector(x)
@@ -287,14 +261,19 @@ class DiagonalOp(MonotoneOperator):
         return self.d * x + self.b
 
     def separable_terms(self):
-        return _linear_terms(self.d, self.b)
+        return self._terms
 
     def as_affine(self):
         return np.diag(self.d), self.b
 
 
+@lru_cache(maxsize=64)
 def identity(dim):
-    return DiagonalOp(np.ones(dim), modulus=strong(1.0))
+    """The identity on R^dim with the unit strong modulus: one shared
+    operator per dim, whose d and b are read-only."""
+    op = DiagonalOp(np.ones(dim), modulus=strong(1.0))
+    op.d.flags.writeable = op.b.flags.writeable = False
+    return op
 
 
 class Joca16Op(MonotoneOperator):

@@ -66,14 +66,15 @@ class UnsupportedOperatorError(TypeError):
 @dataclass(frozen=True)
 class ResolventProblem:
     """The equation W(z) + gamma*A(z) = rhs. solve_resolvent records the
-    infinity-norm residual of the solution it returns in ``residuals``, one
-    entry per block of coordinates."""
+    infinity-norm residual of the solution z it returns in ``residuals``, one
+    entry per block of coordinates, and W(z) in ``wz``."""
 
     W: MonotoneOperator
     A: MonotoneOperator
     gamma: float
     rhs: np.ndarray
     residuals: np.ndarray = field(default=None, init=False, compare=False, repr=False)
+    wz: np.ndarray = field(default=None, init=False, compare=False, repr=False)
     # The coordinates form this many equal blocks, each solved and checked
     # against the tolerance of its own block of rhs.
     rows = 1
@@ -108,7 +109,13 @@ def _chart(m, lo, hi, lo_finite, hi_finite):
     """The chart c: R -> (lo, hi) over the backend m as (c, dc, inverse), dc(z) being
     c'(t) at z = c(t); the ends are floats or arrays, finite as the flags say."""
     if lo_finite and hi_finite:
-        w = hi - lo
+        with np.errstate(over="ignore"):
+            w = hi - lo
+        wide = np.isinf(w)
+        if wide.any():
+            i = np.argmax(wide)
+            raise DomainError(f"the interval ({float(np.ravel(lo)[i])!r}, "
+                              f"{float(np.ravel(hi)[i])!r}) is wider than the largest float")
 
         def bounded(t):
             # lo + w/(1 + e^-t), formed from the end t points toward, so
@@ -347,49 +354,45 @@ def solve_resolvent(problem):
     The routes, in order: an affine pair is one linear solve; a pair that
     both decouple coordinatewise is scalar monotone equations; any other
     pair whose operators both give Jacobians is damped Newton. The output
-    is re-verified by substitution against the residual contract, and the
-    residual is recorded in ``problem.residuals``. Each block of a
+    is re-verified by substitution against the residual contract: the
+    residual is recorded in ``problem.residuals``, and W(z) as the
+    substitution formed it beside it, in ``problem.wz``. Each block of a
     stacked problem is held to the tolerance of its own block of rhs; a
     failure raises what the lowest failing block would raise alone, once
     the domains meet.
     """
     W, A, gamma, rhs, rows = problem.W, problem.A, problem.gamma, problem.rhs, problem.rows
-    tol_rows = _row_tol(rhs, rows)
-    tol = np.repeat(tol_rows, rhs.shape[0] // rows)
-    (w_lo, w_hi), (a_lo, a_hi) = W.domain(), A.domain()
-    lo, hi = np.maximum(w_lo, a_lo), np.minimum(w_hi, a_hi)
-    if (lo >= hi).any():
-        raise NoSolutionError("operator domains have empty intersection")
-
     # A is asked first so a diagonal W builds no dense matrix when A is
     # not affine.
     a_aff = A.as_affine()
     w_aff = W.as_affine() if a_aff is not None else None
-    if w_aff is not None:
-        (Mw, bw), (Ma, ba) = w_aff, a_aff
-        z = np.linalg.solve(Mw + gamma * Ma, rhs - bw - gamma * ba)
-    else:
+    wt = at = None
+    if w_aff is None:
         wt, at = W.separable_terms(), A.separable_terms()
-        if wt is None or at is None:
-            z = _solve_newton(W, A, gamma, rhs, tol, lo, hi)
-        elif rhs.shape[0] < _ELEMENTWISE_MIN_DIM:
-            z = np.empty_like(rhs)
-            intervals = zip(lo.tolist(), hi.tolist())
-            for i, (interval, r, tol_i) in enumerate(zip(intervals, rhs.tolist(), tol.tolist())):
-                w, dw, w_inv, w_inv_dom = wt.term(i)
-                a, da, _, _ = at.term(i)
-                g = lambda t, w=w, a=a: w(t) + gamma * a(t)
-                dg = None
-                if dw is not None and da is not None:
-                    dg = lambda t, dw=dw, da=da: dw(t) + gamma * da(t)
-                # Start from the kernel term's inverse at r/(1+gamma).
-                s = r / (1.0 + gamma)
-                x0 = w_inv(s) if w_inv is not None and w_inv_dom[0] < s < w_inv_dom[1] else None
-                z[i] = solve_scalar_increasing(g, dg, interval, r, tol_i, x0=x0)
-        else:
+    separable = wt is not None and at is not None
+    if separable and rhs.shape[0] < _ELEMENTWISE_MIN_DIM:
+        z, tol_rows = _solve_coordinates(wt, at, gamma, rhs, rows, W.domain(), A.domain())
+    else:
+        tol_rows = _row_tol(rhs, rows)
+        tol = np.repeat(tol_rows, rhs.shape[0] // rows)
+        (w_lo, w_hi), (a_lo, a_hi) = W.domain(), A.domain()
+        lo, hi = np.maximum(w_lo, a_lo), np.minimum(w_hi, a_hi)
+        if (lo >= hi).any():
+            raise _disjoint()
+        if w_aff is not None:
+            (Mw, bw), (Ma, ba) = w_aff, a_aff
+            z = np.linalg.solve(Mw + gamma * Ma, rhs - bw - gamma * ba)
+        elif separable:
             z = _solve_separable(wt, at, gamma, rhs, tol, lo, hi)
+        else:
+            z = _solve_newton(W, A, gamma, rhs, tol, lo, hi)
 
-    res = _row_residuals(W, A, gamma, z, rhs, rows)
+    # Every route leaves z strictly inside the domains: a chart's images lie
+    # inside its interval, Newton accepts interior points only, an affine
+    # map is defined on R^N. So a separable pair's W(z) and A(z) are the
+    # values of its terms, with no second interior test.
+    wz, az = (wt.value(z), at.value(z)) if separable else (W._apply(z), A._apply(z))
+    res = _row_residuals(wz, az, gamma, rhs, rows)
     over = res > tol_rows
     if over.any():
         i = np.argmax(over)
@@ -397,7 +400,40 @@ def solve_resolvent(problem):
             f"post-hoc residual {res[i]:.3e} exceeds tolerance {tol_rows[i]:.3e}"
         )
     object.__setattr__(problem, "residuals", res)
+    object.__setattr__(problem, "wz", wz)
     return z
+
+
+def _disjoint():
+    return NoSolutionError("operator domains have empty intersection")
+
+
+def _solve_coordinates(wt, at, gamma, rhs, rows, w_dom, a_dom):
+    """The separable resolvent one coordinate at a time, with its
+    bookkeeping in floats: (z, the tolerance of each block). abs, max, min,
+    + and * round as numpy's do, so the tolerances and the domain
+    intersection are those of the array routes, bit for bit."""
+    r = rhs.tolist()
+    m = len(r) // rows
+    tol_rows = [_ATOL * (1.0 + max(map(abs, r[j:j + m]))) for j in range(0, len(r), m)]
+    (w_lo, w_hi), (a_lo, a_hi) = w_dom, a_dom
+    lo = list(map(max, w_lo.tolist(), a_lo.tolist()))
+    hi = list(map(min, w_hi.tolist(), a_hi.tolist()))
+    if any(l >= h for l, h in zip(lo, hi)):
+        raise _disjoint()
+    z = []
+    for i, (interval, r_i) in enumerate(zip(zip(lo, hi), r)):
+        w, dw, w_inv, w_inv_dom = wt.term(i)
+        a, da, _, _ = at.term(i)
+        g = lambda t, w=w, a=a: w(t) + gamma * a(t)
+        dg = None
+        if dw is not None and da is not None:
+            dg = lambda t, dw=dw, da=da: dw(t) + gamma * da(t)
+        # Start from the kernel term's inverse at r/(1+gamma).
+        s = r_i / (1.0 + gamma)
+        x0 = w_inv(s) if w_inv is not None and w_inv_dom[0] < s < w_inv_dom[1] else None
+        z.append(solve_scalar_increasing(g, dg, interval, r_i, tol_rows[i // m], x0=x0))
+    return np.array(z), np.array(tol_rows)
 
 
 def _row_tol(v, rows):
@@ -466,10 +502,10 @@ def resolvent_residual(W, A, gamma, z, rhs):
     return float(np.max(np.abs(W.apply(z) + gamma * A.apply(z) - rhs)))
 
 
-def _row_residuals(W, A, gamma, z, rhs, rows):
+def _row_residuals(wz, az, gamma, rhs, rows):
     """The infinity-norm residual of each of ``rows`` equal blocks of
-    W(z) + gamma*A(z) = rhs, at a z the solver formed."""
-    r = np.abs(W._apply(z) + gamma * A._apply(z) - rhs)
+    W(z) + gamma*A(z) = rhs, given W(z) and A(z)."""
+    r = np.abs(wz + gamma * az - rhs)
     return r.reshape(rows, -1).max(axis=1)
 
 

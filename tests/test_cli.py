@@ -224,6 +224,8 @@ _UNREAD_FLAGS = [
     ("--op-w", ["--op-a", "grad:burg", "--op-w", "grad:quadratic", "--f", "burg",
                 "--method", "bregman"]),
     ("--op-w", ["--op-a", "grad:burg", "--op-w", "grad:quadratic", "--method", "carlier_haraux"]),
+    # No operator spec declares a modulus, so strong takes the identity kernel.
+    ("--op-w", ["--op-a", "grad:burg", "--op-w", "grad:quadratic", "--method", "strong"]),
     ("--f", ["--op-a", "grad:burg", "--f", "quadratic", "--method", "pairing"]),
 ]
 

@@ -166,6 +166,35 @@ class TestSeparable:
         np.testing.assert_allclose(solvers.prox(f, 2.0, x), (x + 2.0) / 3.0, atol=1e-11)
 
 
+def _near_boundary_formula(f, x):
+    """The near-boundary test with its end tolerances formed per call."""
+    lo, hi = f.dom_lo, f.dom_hi
+    tol = lambda end: np.where(np.isfinite(end), functions.BOUNDARY_TOL * np.maximum(1.0, abs(end)),
+                               0.0)
+    return not ((x - lo > tol(lo)) & (hi - x > tol(hi))).all()
+
+
+@pytest.mark.parametrize("name", ["burg", "boltzmann_shannon", "fermi_dirac", "quad_plus:burg",
+                                  "quad_plus:fermi_dirac"])
+def test_near_boundary_keeps_its_formula_at_each_catalog_end(name):
+    # One ulp either side of the threshold BOUNDARY_TOL * max(1, |end|)
+    # from each finite end, and the end itself.
+    f = functions.from_name(name)
+    for end, inward in ((f.dom_lo[0], math.inf), (f.dom_hi[0], -math.inf)):
+        if not math.isfinite(end):
+            continue
+        edge = end + math.copysign(functions.BOUNDARY_TOL * max(1.0, abs(end)), inward)
+        points = [end, math.nextafter(edge, -inward), edge, math.nextafter(edge, inward)]
+        flags = [f._near_boundary(np.array([x])) for x in points]
+        assert flags == [_near_boundary_formula(f, np.array([x])) for x in points]
+        assert flags[0] and not flags[-1]
+    mixed = functions.SeparableFunction([functions.fermi_dirac().parts[0],
+                                         functions.quadratic().parts[0]])
+    for x in ([1e-14, 5.0], [2e-14, -1e300], [1.0 - 1e-14, 0.0], [0.5, 0.0]):
+        x = np.array(x)
+        assert mixed._near_boundary(x) == _near_boundary_formula(mixed, x)
+
+
 class TestFenchelYoungRows:
     """The per-row kernel behind ``fenchel_young`` and the exact column of
     the figure panels."""

@@ -148,6 +148,32 @@ class TestDiagonalOp:
         assert SkewPDOp(np.eye(1)).separable_terms() is None
 
 
+class TestSharedState:
+    def test_identity_is_one_read_only_operator_per_dim(self):
+        assert identity(3) is identity(3)
+        assert identity(3) is not identity(4)
+        op = identity(2)
+        for end in (op.d, op.b):
+            with pytest.raises(ValueError):
+                end[0] = 5.0
+        np.testing.assert_array_equal(identity(2).d, [1.0, 1.0])
+        np.testing.assert_array_equal(identity(2).b, [0.0, 0.0])
+
+    def test_gradient_ops_of_one_function_share_its_terms(self):
+        f = functions.fermi_dirac(3)
+        terms = GradientOp(f).separable_terms()
+        assert SubdifferentialOp(f).separable_terms() is terms
+        assert GradientOp(functions.fermi_dirac(3)).separable_terms() is not terms
+        np.testing.assert_array_equal(terms.value(np.array([0.25, 0.5, 0.75])),
+                                      f.gradient([0.25, 0.5, 0.75]))
+
+    def test_the_default_domain_is_one_read_only_box_per_dim(self):
+        lo, hi = AffineOp(np.eye(2)).domain()
+        assert (lo, hi) == identity(2).domain() and lo is identity(2).domain()[0]
+        with pytest.raises(ValueError):
+            lo[0] = 0.0
+
+
 class TestJoca16Op:
     def test_reduces_to_rotation_for_quadratic(self, rng):
         # beta*t - t cancels, leaving the pure rotation (t1,t2) -> (-t2,t1).

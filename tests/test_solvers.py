@@ -288,6 +288,18 @@ class TestElementwiseSolve:
             assert dc(z)[i] == dci(float(z[i]))
             assert inverse(z)[i] == inverse_i(float(z[i]))
 
+    @pytest.mark.parametrize("arrays", [False, True])
+    def test_a_bounded_interval_wider_than_a_float_is_a_domain_error(self, arrays):
+        # hi - lo overflows: the chart raises instead of warning (the suite
+        # turns RuntimeWarning into an error).
+        with pytest.raises(DomainError, match=r"interval \(-1e\+308, 1e\+308\) is wider"):
+            solvers._interval_chart(-1e308, 1e308, arrays)
+        with pytest.raises(DomainError, match=r"interval \(-1e\+308, 1e\+308\) is wider"):
+            solvers._array_chart(np.array([0.0, -1e308, -1.0]), np.array([1.0, 1e308, 1e308]))
+        # The widest bounded interval that a float spans keeps its chart.
+        c, _, _, t_lo, t_hi = solvers._interval_chart(-8e307, 8e307, arrays)
+        assert -8e307 < c(t_lo) < c(t_hi) < 8e307
+
     @pytest.mark.parametrize("kernel", ["identity", "gradient"])
     def test_mixed_intervals_match_the_scalar_solves(self, kernel):
         # Interleaved burg, fermi_dirac and quadratic coordinates at d = 40:
