@@ -390,8 +390,13 @@ def solve_resolvent(problem):
     # Every route leaves z strictly inside the domains: a chart's images lie
     # inside its interval, Newton accepts interior points only, an affine
     # map is defined on R^N. So a separable pair's W(z) and A(z) are the
-    # values of its terms, with no second interior test.
-    wz, az = (wt.value(z), at.value(z)) if separable else (W._apply(z), A._apply(z))
+    # values of its terms, with no second interior test, and one value when
+    # W and A are the gradient of one function (a self-kernel bregman bound).
+    if separable:
+        wz = wt.value(z)
+        az = wz if at is wt else at.value(z)
+    else:
+        wz, az = W._apply(z), A._apply(z)
     res = _row_residuals(wz, az, gamma, rhs, rows)
     over = res > tol_rows
     if over.any():
