@@ -4,9 +4,12 @@
         --out BENCH_layers.json
 
 Each tree is measured in a fresh child process that imports haraux from
-that tree, with BLAS pinned to one thread; the trees take turns, 3 runs
-each, and every entry is the median of its 3 runs, so drift in machine
-speed reaches all trees alike. The layers are:
+that tree, with BLAS pinned to one thread; the trees take turns, 5 runs
+each, each round in the reverse order of the round before, so drift in
+machine speed reaches all trees alike. Every entry is the median of its 5
+runs with their interquartile range beside it, ``{"median": ..., "iqr":
+...}``, so that a move between trees can be read against their spread.
+The layers are:
 
 - ``as_vector``: validation of a float64 vector;
 - ``scalar_root``: one ``solve_scalar_increasing`` call (the Fermi-Dirac
@@ -82,7 +85,7 @@ U_BOX = {"burg": (-5.0, -0.05), "boltzmann_shannon": (-3.0, 3.0),
 SAMPLES = 5
 SAMPLE_S = 0.02
 CROSSOVER_ROUNDS = 5
-TREE_ROUNDS = 3
+TREE_ROUNDS = 5
 SEED = 20251018
 # The suites of verification.run_checks, in the order it runs them.
 VERIFY_SUITES = ("core", "function", "operator", "solver", "bound", "oracle", "gauge")
@@ -307,22 +310,23 @@ def add_crossover_d(result):
     which the elementwise solve costs less at that d and every larger one."""
     for path in ("scalar", "elementwise"):
         per_fn = result[f"{path}_us"].values()
-        result[f"total_{path}_us"] = [sum(times) for times in zip(*per_fn)]
+        result[f"total_{path}_us"] = [sum(t["median"] for t in times) for times in zip(*per_fn)]
     cheaper = [e < s for e, s in zip(result["total_elementwise_us"],
                                      result["total_scalar_us"])]
     result["crossover_d"] = next(
         (d for k, d in enumerate(SWEEP) if all(cheaper[k:])), None)
 
 
-def median_of(runs):
-    """The entrywise median of equally shaped results."""
+def summary_of(runs):
+    """The entrywise median and interquartile range of equally shaped results."""
     first = runs[0]
     if isinstance(first, dict):
-        return {k: median_of([r[k] for r in runs]) for k in first}
+        return {k: summary_of([r[k] for r in runs]) for k in first}
     if isinstance(first, list):
-        return [median_of(list(entries)) for entries in zip(*runs)]
+        return [summary_of(list(entries)) for entries in zip(*runs)]
     if isinstance(first, float):
-        return statistics.median(runs)
+        q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+        return {"median": statistics.median(runs), "iqr": q3 - q1}
     return first
 
 
@@ -350,8 +354,8 @@ def main(argv=None):
 
     result = {
         "description": __doc__.split("\n\n")[0],
-        "unit": "us per call (median over 3 alternating runs of each tree, each the median "
-                "of 5 samples)",
+        "unit": f"us per call (median and interquartile range over {TREE_ROUNDS} runs of each "
+                "tree, taken in alternating order, each run the median of 5 samples)",
         "machine": {"platform": platform.platform(), "machine": platform.machine(),
                     "cpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "blas_threads": 1},
@@ -359,11 +363,11 @@ def main(argv=None):
     }
     trees = [spec.partition("=")[::2] for spec in args.tree]
     runs = {name: [] for name, _ in trees}
-    for _ in range(TREE_ROUNDS):
-        for name, src in trees:
+    for k in range(TREE_ROUNDS):
+        for name, src in trees[::-1] if k % 2 else trees:
             runs[name].append(run_tree(src))
     for name, _ in trees:
-        tree = result["trees"][name] = median_of(runs[name])
+        tree = result["trees"][name] = summary_of(runs[name])
         if "crossover" in tree:
             add_crossover_d(tree["crossover"])
     with open(args.out, "w") as fh:

@@ -103,13 +103,20 @@ def _parse_operator(spec, dim):
     raise ConfigError(f"unknown operator spec {spec!r}")
 
 
+def _write_file(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from None
+
+
 def _write_rows(out, header, rows):
     lines = [",".join(header)]
     lines += [",".join(r) for r in rows]
     text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write_file(out, text)
     else:
         sys.stdout.write(text)
 
@@ -124,27 +131,32 @@ def _points_from_args(args):
     return pts
 
 
-def _bound_row(phi, f, p, gamma, method, op_a=None, op_w=None):
-    exact = None
-    if phi is not None:
-        b = bounds.fy_bound_dispatch(phi, f, p, gamma, method)
-        exact = bounds.exact_fenchel_young(phi, p)
-        if not np.isfinite(exact):
-            exact = None
-    elif op_a is not None:
-        b = bounds._operator_bound(op_a, p, gamma, method, op_w, f)
-    else:
+def _point_rows(phi, f, p, gammas, method, op_a=None, op_w=None):
+    """The rows of one point, one per gamma. L_phi does not depend on gamma:
+    it is computed once, after the point's first bound."""
+    if phi is None and op_a is None:
         raise ConfigError("either --phi or --op-a is required")
-    return [
-        _fmt_vec(p.x),
-        _fmt_vec(p.u_star),
-        _fmt(gamma),
-        b.method,
-        _fmt(b.value),
-        _fmt(exact),
-        _fmt_vec(b.z),
-        _fmt(b.diagnostics.get("residual", 0.0)),
-    ]
+    rows, exact = [], None
+    for gamma in gammas:
+        if phi is not None:
+            b = bounds.fy_bound_dispatch(phi, f, p, gamma, method)
+            if not rows:
+                exact = bounds.exact_fenchel_young(phi, p)
+                if not np.isfinite(exact):
+                    exact = None
+        else:
+            b = bounds._operator_bound(op_a, p, gamma, method, op_w, f)
+        rows.append([
+            _fmt_vec(p.x),
+            _fmt_vec(p.u_star),
+            _fmt(gamma),
+            b.method,
+            _fmt(b.value),
+            _fmt(exact),
+            _fmt_vec(b.z),
+            _fmt(b.diagnostics.get("residual", 0.0)),
+        ])
+    return rows
 
 
 def cmd_bound(args):
@@ -154,11 +166,7 @@ def cmd_bound(args):
     f = functions.from_name(args.f, pts[0].dim) if args.f else None
     op_a = _parse_operator(args.op_a, pts[0].dim) if args.op_a else None
     op_w = _parse_operator(args.op_w, pts[0].dim) if args.op_w else None
-    rows = [
-        _bound_row(phi, f, p, g, args.method, op_a, op_w)
-        for p in pts
-        for g in gammas
-    ]
+    rows = [row for p in pts for row in _point_rows(phi, f, p, gammas, args.method, op_a, op_w)]
     _write_rows(args.out, BOUND_HEADER, rows)
     return EXIT_OK
 
@@ -276,13 +284,15 @@ def _write_svg(path, title, rows):
             f'<text x="{width - margin - 104}" y="{y_leg + 4}">{label}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_file(path, "\n".join(parts) + "\n")
 
 
 def cmd_figure1(args):
     out_dir = args.out or "figure1"
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from None
     panels = [
         ("burg_gamma0.1", "Burg entropy, gamma=0.1", _burg_panel(0.1)),
         ("burg_gamma1", "Burg entropy, gamma=1", _burg_panel(1.0)),

@@ -19,6 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import INF, DomainError, as_vector
+from .solvers import _prox_part, _prox_part_array, lambert_w_of_exp
 
 # The ``near_boundary`` diagnostic flags an auxiliary point this close
 # (times max(1, |end|)) to a finite end of an open domain, or outside it.
@@ -319,8 +320,6 @@ def _part_sums(parts, value, X):
 
 def _envelope(p, s):
     """inf_y p(y) + (s - y)^2 / 2 for one scalar part, through its prox."""
-    from .solvers import _prox_part
-
     y = _prox_part(p, 1.0, s)
     return p.eval(y) + 0.5 * (s - y) ** 2
 
@@ -392,41 +391,17 @@ def _logistic_array(s):
         return np.where(np.isinf(e), np.exp(s), 1.0 / (1.0 + e))
 
 
-def _lambert_w_of_exp(a):
-    from .solvers import lambert_w_of_exp
-
-    return lambert_w_of_exp(a)
-
-
-def _lambert_w_of_exp_array(a):
-    from .solvers import lambert_w_of_exp
-
-    return _mapped(lambert_w_of_exp)(a)
-
-
-def _prox_float(p, gamma, t):
-    from .solvers import _prox_part
-
-    return _prox_part(p, gamma, t)
-
-
-def _prox_array(p, gamma, t):
-    from .solvers import _prox_part_array
-
-    return _prox_part_array(p, gamma, t)
-
-
 # The two backends a catalog formula is instantiated over. ``forms`` picks
 # a part's formulas of the same backend.
 _MATH = SimpleNamespace(
     log=math.log, sqrt=math.sqrt, exp=_exp, logistic=_logistic, recip=_recip,
     extent=lambda t: (t, t), where=lambda condition, a, b: a if condition else b,
-    lambert_w_of_exp=_lambert_w_of_exp, prox=_prox_float, forms=lambda p: p,
+    lambert_w_of_exp=lambert_w_of_exp, prox=_prox_part, forms=lambda p: p,
 )
 _NUMPY = SimpleNamespace(
     log=np.log, sqrt=np.sqrt, exp=_exp_array, logistic=_logistic_array, recip=_recip_array,
-    extent=lambda t: (t.min(), t.max()), where=np.where, lambert_w_of_exp=_lambert_w_of_exp_array,
-    prox=_prox_array, forms=lambda p: p.arrays,
+    extent=lambda t: (t.min(), t.max()), where=np.where,
+    lambert_w_of_exp=_mapped(lambert_w_of_exp), prox=_prox_part_array, forms=lambda p: p.arrays,
 )
 
 

@@ -9,6 +9,7 @@ import numpy as np
 
 from .core import INF, DomainError, as_vector
 from .functions import _EXP_SAFE, ScalarLegendre, SeparableFunction, SeparableTerms
+from .solvers import _interval_chart
 
 
 @lru_cache(maxsize=64)
@@ -292,8 +293,6 @@ class Joca16Op(MonotoneOperator):
             raise ValueError("beta must be positive")
         if not isinstance(psi, ScalarLegendre):
             raise TypeError("psi must be a ScalarLegendre")
-        from .solvers import _interval_chart
-
         lo, hi = psi.dom
         c, _, _, t_lo, t_hi = _interval_chart(float(lo), float(hi), arrays=True)
         grid = c(np.linspace(max(t_lo, -_EXP_SAFE), min(t_hi, _EXP_SAFE), 201))

@@ -30,6 +30,10 @@ raises NoSolutionError, a root between two consecutive chart points of
 which neither meets the tolerance ConvergenceError. From
 _ELEMENTWISE_MIN_DIM coordinates on, a separable problem runs this on all
 coordinates at once over arrays, below coordinate by coordinate.
+
+The module depends only on core: functions and operators import their
+proxes, Lambert W and charts from it when they load. bregman_prox alone
+builds operators, and imports GradientOp when it is called.
 """
 
 import math
@@ -40,7 +44,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import DomainError, as_vector
-from .operators import GradientOp, MonotoneOperator
 
 # Absolute residual tolerance, scaled by 1 + |right-hand side|.
 _ATOL = 1e-12
@@ -69,8 +72,8 @@ class ResolventProblem:
     infinity-norm residual of the solution z it returns in ``residuals``, one
     entry per block of coordinates, and W(z) in ``wz``."""
 
-    W: MonotoneOperator
-    A: MonotoneOperator
+    W: "MonotoneOperator"
+    A: "MonotoneOperator"
     gamma: float
     rhs: np.ndarray
     residuals: np.ndarray = field(default=None, init=False, compare=False, repr=False)
@@ -574,6 +577,8 @@ def bregman_prox(f, phi, gamma, s):
     that lands inside the domain, else c(0) of the domain's chart. The
     problem checks gamma.
     """
+    from .operators import GradientOp
+
     s = as_vector(s)
     W, A = GradientOp(f), GradientOp(phi)
     if W.dim_in != A.dim_in or s.shape[0] != W.dim_in:

@@ -14,6 +14,14 @@ def _run(capsys, argv):
     return code, out.out, out.err
 
 
+def _assert_unwritable(capsys, argv, path):
+    """A path the command cannot write: exit 2, one error line naming it, no stdout."""
+    code, out, err = _run(capsys, argv)
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert err.startswith("error:") and str(path) in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def _read_csv(path):
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -137,6 +145,23 @@ class TestBoundCommand:
             assert cli.main(args + ["--out", str(f)]) == 0
             texts.append(f.read_text())
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("command", ["bound", "sweep"])
+    def test_out_under_a_missing_directory(self, capsys, tmp_path, command):
+        out = tmp_path / "missing" / "b.csv"
+        _assert_unwritable(capsys, [command, "--phi", "burg", "--gamma", "0.5,1",
+                                    "--point", "1;-0.5", "--out", str(out)], out)
+
+    def test_exact_is_computed_once_per_point(self, capsys, monkeypatch):
+        calls = []
+        exact = bounds.exact_fenchel_young
+        monkeypatch.setattr(bounds, "exact_fenchel_young",
+                            lambda phi, p: calls.append(p) or exact(phi, p))
+        code, out, _ = _run(capsys, ["sweep", "--phi", "burg", "--gamma", "0.5,1,2",
+                                     "--point", "1;-0.5", "--point", "2;-1"])
+        assert code == 0 and len(calls) == 2
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len({r[5] for r in rows[:3]}) == 1 and rows[0][5] != rows[3][5]
 
 
 class TestErrorPaths:
@@ -279,6 +304,11 @@ class TestVerifyCommand:
         assert code == cli.EXIT_CHECK_FAILED
         assert "FAILED" in err
 
+    def test_out_under_a_missing_directory(self, capsys, tmp_path):
+        # Exit 2, not verify's 1 of a failed check.
+        out = tmp_path / "missing" / "v.csv"
+        _assert_unwritable(capsys, ["verify", "--out", str(out)], out)
+
 
 class TestFigureCommand:
     def test_panels_written(self, figure1_dir):
@@ -311,6 +341,16 @@ class TestFigureCommand:
         assert code == 0
         assert not list(out.glob("*.svg"))
         assert len(list(out.glob("*.csv"))) == 4
+
+    def test_out_over_a_regular_file(self, capsys, tmp_path):
+        out = tmp_path / "fig"
+        out.write_text("")
+        _assert_unwritable(capsys, ["figure1", "--out", str(out)], out)
+
+    @pytest.mark.parametrize("name", ["burg_gamma0.1.csv", "burg_gamma0.1.svg"])
+    def test_a_panel_file_that_cannot_be_written(self, capsys, tmp_path, name):
+        (tmp_path / name).mkdir()
+        _assert_unwritable(capsys, ["figure1", "--out", str(tmp_path)], tmp_path / name)
 
 
 class TestGaugeCommand:
@@ -356,6 +396,12 @@ class TestGaugeCommand:
             "gauge", "--instance", str(inst), "--point", "1;-1",
         ])
         assert code == cli.EXIT_CONFIG
+
+    def test_out_under_a_missing_directory(self, capsys, tmp_path):
+        inst = self._instance_file(tmp_path)
+        out = tmp_path / "missing" / "g.csv"
+        _assert_unwritable(capsys, ["gauge", "--instance", str(inst), "--point", "1,-2;0.5,1.5",
+                                    "--out", str(out)], out)
 
 
 class TestConfigAndSeed:

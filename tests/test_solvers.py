@@ -328,6 +328,21 @@ class TestElementwiseSolve:
         assert np.all(np.abs(z - single) <= 1e-9 * np.abs(single) + 1e-12)
         assert z[::3].min() < 1e-150
 
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 4.0])
+    def test_starts_outside_the_kernel_inverse_match_the_scalar_solves(self, gamma):
+        # The inverse of burg's derivative is defined on (-inf, 0), so each
+        # coordinate with rhs/(1+gamma) >= 0 starts the elementwise solve
+        # from t = 0, and still gives the one-coordinate root bit for bit.
+        # One block per coordinate: a block's tolerance follows its largest |rhs|.
+        d = 30
+        r = np.random.default_rng(23).uniform(-5.0, 5.0, d)
+        assert d >= _ELEMENTWISE_MIN_DIM and (r > 0).any() and (r < 0).any()
+        W, A = GradientOp(functions.burg(d)), GradientOp(functions.quadratic(d))
+        z = solve_resolvent(_StackedProblem(W, A, gamma, r, d))
+        W, A = GradientOp(functions.burg(1)), GradientOp(functions.quadratic(1))
+        single = [solve_resolvent(ResolventProblem(W, A, gamma, r[i:i + 1]))[0] for i in range(d)]
+        assert z.tolist() == single
+
     @pytest.mark.parametrize("gamma", [0.5, 2.0])
     def test_fermi_dirac_over_entropy_does_not_depend_on_the_dimension(self, gamma):
         # The closed-form z solves each coordinate for itself; the
@@ -383,7 +398,7 @@ class TestLambertW:
         a = np.concatenate([np.linspace(-700.0, 1e4, 2001), rng.uniform(-30.0, 30.0, 2000),
                             np.linspace(-20.0, -15.0, 101), [0.0, 1.0, 100.0]])
         ref = np.array([lambert_w_of_exp(v) for v in a.tolist()])
-        np.testing.assert_allclose(functions._lambert_w_of_exp_array(a), ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(functions._NUMPY.lambert_w_of_exp(a), ref, rtol=1e-12, atol=0)
 
     def test_of_exp_large_argument(self):
         # w + ln w = a must hold where exp(a) overflows.
