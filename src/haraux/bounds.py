@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainError, DualPair
+from .core import DomainError, DualPair, check_gamma
 from .functions import SeparableFunction, _match_dim
 from .operators import GradientOp, identity
 from .solvers import (
@@ -81,6 +81,7 @@ def _rows(method, A, x, u, gamma, rows=1, W=None, f=None, phi=None, modulus=None
     and carlier_fy take phi alone, with z = grad phi*((grad phi(x) +
     gamma*u*) / (1 + gamma)) and z = prox_{gamma phi}(x + gamma*u*).
     """
+    check_gamma(gamma)
     if method == "legendre_self":
         x = _match_dim(x, phi.dim)
         if not phi._inside(x):
@@ -171,6 +172,7 @@ def bound_modulus(W, A, p, gamma, modulus=None):
 def burg_self_bound_closed(x, u, gamma):
     """Closed form of the Bregman bound for the Burg self-pair. The
     resolvent has a solution only where 1 - gamma*x*u* > 0."""
+    check_gamma(gamma)
     terms, z = _burg_self_terms(np.asarray(x, dtype=float), np.asarray(u, dtype=float), gamma)
     return float(np.sum(terms)), z
 
@@ -200,6 +202,7 @@ def fermi_dirac_zeta(x, u, gamma):
     coordinatewise on (0, 1). At gamma = 1 the equation is quadratic in z
     and solved in closed form; otherwise a safeguarded scalar solve is
     used, started from the gamma = 1 root."""
+    check_gamma(gamma)
     return _fermi_dirac_root(np.asarray(x, dtype=float), np.asarray(u, dtype=float), gamma)[0]
 
 
@@ -246,6 +249,7 @@ def _fermi_dirac_root(x, u, gamma):
 
 
 def fermi_dirac_bound_closed(x, u, gamma):
+    check_gamma(gamma)
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     terms, zeta = _fermi_dirac_terms(x, u, gamma)
     return float(np.sum(terms)) / gamma, zeta

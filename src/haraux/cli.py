@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import bounds, functions, verification
-from .core import DomainError, DualPair
+from .core import DomainError, DualPair, check_gamma
 from .gauges import kt_gauge_bound, linear_quadratic_kt_instance
 from .operators import AffineOp, GradientOp, Joca16Op, SkewPDOp
 from .oracle import DEFAULT_SEED
@@ -76,8 +76,8 @@ def _parse_gammas(text):
         vals = [float(t) for t in text.split(",")]
     except ValueError:
         raise ConfigError(f"cannot parse gamma list {text!r}") from None
-    if any(g <= 0 for g in vals):
-        raise ConfigError("gamma values must be positive")
+    for g in vals:
+        check_gamma(g)
     return vals
 
 
@@ -172,12 +172,9 @@ def cmd_bound(args):
 
 
 def cmd_verify(args):
-    # Only verify samples. Its seed is --seed, else HARAUX_SEED, else the
+    # Only verify samples. Its seed is --seed (or config seed=), else the
     # fixed default.
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("HARAUX_SEED")
-        seed = int(env) if env is not None else DEFAULT_SEED
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     rows = verification.run_checks(seed=seed, corrupt=args.self_test_corrupt)
     out_rows = [
         [
@@ -415,16 +412,23 @@ def _build_parser():
 
 
 def _apply_config(args, path):
+    """Fill the flags not given from a config file. Each point= line adds a
+    point, as repeated --point flags do; any other key may appear once."""
+    seen, points = set(), []
     for key, value in _read_key_values(path, "config"):
         key = key.replace("-", "_")
         if not hasattr(args, key):
             raise ConfigError(f"unknown config key {key!r}")
+        if key == "point":
+            points.append(value)
+            continue
+        if key in seen:
+            raise ConfigError(f"config key {key!r} is given more than once")
+        seen.add(key)
         if getattr(args, key) is None:
-            if key == "seed":
-                value = int(value)
-            elif key == "point":
-                value = [value]
-            setattr(args, key, value)
+            setattr(args, key, int(value) if key == "seed" else value)
+    if points and args.point is None:
+        args.point = points
 
 
 def _resolve_bound_defaults(args):

@@ -34,6 +34,12 @@ def as_vector(x):
     return x
 
 
+def check_gamma(gamma):
+    """Raise ValueError unless the step gamma is positive and finite."""
+    if not 0.0 < gamma < INF:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+
+
 def pairing(x, u_star):
     """Euclidean duality pairing <x, u*>."""
     x = as_vector(x)

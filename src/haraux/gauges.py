@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector
+from .core import as_vector, check_gamma
 from .functions import SeparableFunction, _match_dim
 from .operators import (
     AffineOp,
@@ -34,8 +34,7 @@ class InclusionInstance:
     f: SeparableFunction = None
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        check_gamma(self.gamma)
         dims = {self.A.dim_in, self.B.dim_in, self.W.dim_in}
         if len(dims) != 1:
             raise ValueError("A, B and W must act on the same space")
@@ -55,8 +54,7 @@ class KTInstance:
 
     def __post_init__(self):
         self.L = np.atleast_2d(np.asarray(self.L, dtype=float))
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        check_gamma(self.gamma)
         m, n = self.L.shape
         if self.C.dim_in != n or self.W_X.dim_in != n:
             raise ValueError("primal block dimensions do not match L")
@@ -137,7 +135,7 @@ def stacked_inclusion(inst):
             M = np.zeros((n + m, n + m))
             M[:n, :n] = M1
             M[n:, n:] = M2
-            return AffineOp(M, np.concatenate([b1, b2]), check=False)
+            return AffineOp(M, np.concatenate([b1, b2]))
         if op1.f is not None and op2.f is not None:
             return GradientOp(SeparableFunction(list(op1.f.parts) + list(op2.f.parts)))
         raise TypeError("can only stack affine or separable-gradient blocks")

@@ -96,6 +96,7 @@ class MonotoneOperator:
       gives none; by default the matrix of ``as_affine()``.
     - ``f``: the separable function the operator is the gradient of, or
       None.
+    - ``modulus``: None, but the unit strong modulus that ``identity()`` sets.
     """
 
     dim_in = None
@@ -115,9 +116,6 @@ class MonotoneOperator:
         for i, y in enumerate(Y):
             out[i] = self._apply(y)
         return out
-
-    def __call__(self, x):
-        return self.apply(x)
 
     def separable_terms(self):
         """A SeparableTerms record, or None when the operator does not
@@ -156,12 +154,11 @@ class GradientOp(MonotoneOperator):
     A subdifferential of a catalog function is this same operator, its
     smooth-interior selection; ``SubdifferentialOp`` names it."""
 
-    def __init__(self, f, modulus=None):
+    def __init__(self, f):
         if not isinstance(f, SeparableFunction):
             raise TypeError("GradientOp requires a SeparableFunction")
         self.f = f
         self.dim_in = f.dim
-        self.modulus = modulus
 
     def apply(self, x):
         return self.f.gradient(x)
@@ -190,7 +187,7 @@ SubdifferentialOp = GradientOp
 class AffineOp(MonotoneOperator):
     """x -> M x + b with positive-semidefinite symmetric part."""
 
-    def __init__(self, M, b=None, modulus=None, check=True):
+    def __init__(self, M, b=None):
         M = np.atleast_2d(np.asarray(M, dtype=float))
         if M.shape[0] != M.shape[1]:
             raise ValueError("AffineOp matrix must be square")
@@ -199,18 +196,16 @@ class AffineOp(MonotoneOperator):
         b = as_vector(b)
         if b.shape[0] != M.shape[0]:
             raise ValueError("offset dimension does not match matrix")
-        if check:
-            sym = 0.5 * (M + M.T)
-            lam_min = float(np.linalg.eigvalsh(sym)[0])
-            if lam_min < -1e-10:
-                raise ValueError(
-                    f"symmetric part has negative eigenvalue {lam_min:.3e}; "
-                    "not a monotone map"
-                )
+        sym = 0.5 * (M + M.T)
+        lam_min = float(np.linalg.eigvalsh(sym)[0])
+        if lam_min < -1e-10:
+            raise ValueError(
+                f"symmetric part has negative eigenvalue {lam_min:.3e}; "
+                "not a monotone map"
+            )
         self.M = M
         self.b = b
         self.dim_in = M.shape[0]
-        self.modulus = modulus
 
     def apply(self, x):
         x = as_vector(x)
@@ -236,7 +231,7 @@ class DiagonalOp(MonotoneOperator):
 
     Monotone by construction once d >= 0, which is checked in O(dim)."""
 
-    def __init__(self, d, b=None, modulus=None):
+    def __init__(self, d, b=None):
         d = as_vector(d)
         b = np.zeros(d.shape[0]) if b is None else as_vector(b)
         if b.shape[0] != d.shape[0]:
@@ -249,7 +244,6 @@ class DiagonalOp(MonotoneOperator):
         self.d = d
         self.b = b
         self.dim_in = d.shape[0]
-        self.modulus = modulus
         self._terms = _linear_terms(d, b)
 
     def apply(self, x):
@@ -272,7 +266,8 @@ class DiagonalOp(MonotoneOperator):
 def identity(dim):
     """The identity on R^dim with the unit strong modulus: one shared
     operator per dim, whose d and b are read-only."""
-    op = DiagonalOp(np.ones(dim), modulus=strong(1.0))
+    op = DiagonalOp(np.ones(dim))
+    op.modulus = strong(1.0)
     op.d.flags.writeable = op.b.flags.writeable = False
     return op
 

@@ -27,7 +27,7 @@ class GraphSample:
     y_star: np.ndarray
     box: list
     n_per_dim: int
-    operator: object = None
+    operator: object
 
 
 def default_box(A):
@@ -73,8 +73,6 @@ def haraux_lower_approx(sample, p):
 def refine(sample):
     """Refine to 2n - 1 points per dimension, which keeps the old grid
     nodes as a subset so the sampled supremum can never decrease."""
-    if sample.operator is None:
-        raise ValueError("sample does not carry its operator; cannot refine")
     return sample_graph(sample.operator, sample.box, 2 * sample.n_per_dim - 1)
 
 

@@ -43,7 +43,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import DomainError, as_vector
+from .core import DomainError, as_vector, check_gamma
 
 # Absolute residual tolerance, scaled by 1 + |right-hand side|.
 _ATOL = 1e-12
@@ -83,8 +83,7 @@ class ResolventProblem:
     rows = 1
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        check_gamma(self.gamma)
         # Checked also where the library forms rhs: a sum can overflow.
         object.__setattr__(self, "rhs", as_vector(self.rhs))
         if self.W.dim_in != self.A.dim_in or self.rhs.shape[0] != self.W.dim_in:
@@ -136,13 +135,34 @@ def _chart(m, lo, hi, lo_finite, hi_finite):
     return lambda t: t, lambda z: 1.0, lambda z: z
 
 
+def _ordinal(bits):
+    """float64 bit patterns, read as int64, to their rank in the order of the
+    floats, and back (an involution)."""
+    return np.where(bits < 0, bits ^ np.int64(2**63 - 1), bits)
+
+
+def _first_inside(inside, t, t_in):
+    """The float nearest t, from t toward t_in, at which inside holds: t where
+    it holds, else found by bisecting the floats between t and t_in, where it
+    holds; inside is monotone between them."""
+    ok = inside(t)
+    a = _ordinal(np.asarray(t, dtype=np.float64).view(np.int64))
+    b = np.where(ok, a, _ordinal(np.asarray(t_in, dtype=np.float64).view(np.int64)))
+    while True:
+        # a and b rank the floats where inside fails and holds.
+        mid = (a >> 1) + (b >> 1) + (a & b & 1)
+        if ((mid == a) | (mid == b)).all():
+            return np.where(ok, t, _ordinal(b).view(np.float64))
+        mid_in = inside(_ordinal(mid).view(np.float64))
+        a, b = np.where(mid_in, a, mid), np.where(mid_in, mid, b)
+
+
 def _t_range(c, inverse, lo, hi):
-    """c^-1 of the first and last floats inside (lo, hi), stepped in where c rounds out."""
+    """c^-1 of the first and last floats inside (lo, hi), moved in where c rounds
+    onto an end (below t = log(5e-324) e^t underflows, so that may be far)."""
     t_lo, t_hi = inverse(np.nextafter(lo, hi)), inverse(np.nextafter(hi, lo))
-    while not (np.all(c(t_lo) > lo) and np.all(c(t_hi) < hi)):
-        t_lo = np.where(c(t_lo) > lo, t_lo, np.nextafter(t_lo, math.inf))
-        t_hi = np.where(c(t_hi) < hi, t_hi, np.nextafter(t_hi, -math.inf))
-    return t_lo, t_hi
+    return (_first_inside(lambda t: c(t) > lo, t_lo, t_hi),
+            _first_inside(lambda t: c(t) < hi, t_hi, t_lo))
 
 
 @lru_cache(maxsize=64)
@@ -559,8 +579,7 @@ def prox(phi, gamma, x):
 def _prox(phi, gamma, x, rows=1):
     """prox at a checked vector x whose coordinates form ``rows`` equal
     blocks, each solved to the tolerance of its own block as if alone."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    check_gamma(gamma)
     if x.shape[0] != phi.dim:
         raise DomainError("dimension mismatch in prox")
     out = np.empty_like(x)
@@ -632,5 +651,6 @@ def warped_resolvent(W, A, B, gamma, x):
 
     Fixed points are exactly the zeros of A + B inside dom W.
     """
+    check_gamma(gamma)
     rhs = W.apply(x) - gamma * B.apply(x)
     return solve_resolvent(ResolventProblem(W, A, gamma, rhs))

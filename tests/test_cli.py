@@ -186,6 +186,16 @@ class TestErrorPaths:
         ])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf", "0"])
+    def test_gamma_must_be_positive_and_finite(self, capsys, gamma):
+        code, out, err = _run(capsys, [
+            "bound", "--phi", "burg", "--point", "1;-0.5", f"--gamma={gamma}",
+            "--method", "carlier_fy",
+        ])
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err.startswith("error:") and "gamma" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_overflow_is_domain_error_without_traceback(self, capsys):
         # grad phi*(u) = exp(u - 1) overflows a float at u* = 2000.
         code, out, err = _run(capsys, [
@@ -279,16 +289,11 @@ class TestVerifyCommand:
         assert header == cli.VERIFY_HEADER
         assert rows and all(r[2] == "pass" for r in rows)
 
-    def test_report_gives_the_resolved_seed_and_suite_times(self, capsys, tmp_path, monkeypatch):
+    def test_report_gives_the_resolved_seed_and_suite_times(self, capsys, tmp_path):
         # The first five columns are the old report; seed and suite_s follow.
         assert cli.VERIFY_HEADER == ["module", "check", "status", "measured", "threshold",
                                      "seed", "suite_s"]
-        for flags, env, seed in (([], None, DEFAULT_SEED), ([], "12345", 12345),
-                                 (["--seed", "7"], "12345", 7)):
-            if env is None:
-                monkeypatch.delenv("HARAUX_SEED", raising=False)
-            else:
-                monkeypatch.setenv("HARAUX_SEED", env)
+        for flags, seed in (([], DEFAULT_SEED), (["--seed", "7"], 7)):
             report = tmp_path / "r.csv"
             code, _, err = _run(capsys, ["verify", "--out", str(report), *flags])
             assert code == 0, err
@@ -438,6 +443,28 @@ class TestConfigAndSeed:
         row = out.strip().splitlines()[1].split(",")
         assert float(row[4]) == pytest.approx(1.5**2 / 4.0, abs=1e-12)
 
+    def test_repeated_point_lines_add_points(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("phi=burg\npoint=1;-0.5\npoint=2;-0.25\n")
+        code, out, _ = _run(capsys, ["--config", str(cfg), "bound"])
+        assert code == 0
+        rows = [line.split(",")[:2] for line in out.strip().splitlines()[1:]]
+        assert rows == [["1", "-0.5"], ["2", "-0.25"]]
+        # --point flags replace the file's points, as every flag beats the file.
+        code, out, _ = _run(capsys, ["--config", str(cfg), "bound", "--point", "3;-0.125"])
+        assert code == 0
+        assert [line.split(",")[:2] for line in out.strip().splitlines()[1:]] == [["3", "-0.125"]]
+
+    def test_any_other_repeated_key_is_a_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("phi=burg\npoint=1;-0.5\ngamma=1\ngamma=2\n")
+        code, out, err = _run(capsys, ["--config", str(cfg), "bound"])
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert "'gamma'" in err and len(err.strip().splitlines()) == 1
+        # Also when a flag overrides the key.
+        code, _, err = _run(capsys, ["--config", str(cfg), "bound", "--gamma", "3"])
+        assert code == cli.EXIT_CONFIG and "'gamma'" in err
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("nonsense=1\n")
@@ -448,8 +475,3 @@ class TestConfigAndSeed:
         code, _, err = _run(capsys, ["--config", str(cfg), "bound"])
         assert code == cli.EXIT_CONFIG and "seed" in err
 
-    def test_seed_env_variable(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("HARAUX_SEED", "12345")
-        report = tmp_path / "r.csv"
-        code, _, _ = _run(capsys, ["verify", "--out", str(report)])
-        assert code == 0  # checks hold under a different seed too

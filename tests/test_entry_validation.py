@@ -10,10 +10,13 @@ domain, and must raise exactly the error it is pinned to here, or return
 where it is pinned to return.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from haraux import bounds, functions, operators, solvers
+from haraux import bounds, functions, gauges, operators, solvers
 from haraux.core import DimensionMismatchError, DomainError, DualPair
 
 BAD = ("nan", "inf", "-inf", "empty", "2d", "wrong_dim", "outside")
@@ -245,3 +248,46 @@ def test_error_types_keep_their_hierarchy():
     # Callers catch the dimension and domain errors as ValueError.
     assert issubclass(DimensionMismatchError, ValueError)
     assert issubclass(DomainError, ValueError)
+
+
+# Every entry that takes a step gamma, at a good point of its domain.
+_P = DualPair([0.3], [-0.5])
+_X, _U = np.array([[0.3], [1.0]]), np.array([[-0.5], [-1.0]])
+_Q = functions.quadratic(1)
+_GAMMA_ENTRIES = {
+    "bound_pairing": lambda g: bounds.bound_pairing(ID1, A_BURG, _P, g),
+    "bound_modulus": lambda g: bounds.bound_modulus(ID1, A_BURG, _P, g),
+    "bound_bregman/burg": lambda g: bounds.bound_bregman(BURG, A_BURG, _P, g),
+    "bound_bregman/fermi_dirac_bs": lambda g: bounds.bound_bregman(FD, A_BS, _P, g),
+    "bound_bregman/generic": lambda g: bounds.bound_bregman(BS, A_BS, _P, g),
+    "bound_legendre_self": lambda g: bounds.bound_legendre_self(BURG, _P, g),
+    "bound_carlier_haraux": lambda g: bounds.bound_carlier_haraux(A_BURG, _P, g),
+    "bound_carlier_fy": lambda g: bounds.bound_carlier_fy(BURG, _P, g),
+    "burg_self_bound_closed": lambda g: bounds.burg_self_bound_closed([1.0], [-0.5], g),
+    "fermi_dirac_bound_closed": lambda g: bounds.fermi_dirac_bound_closed([0.5], [0.5], g),
+    "fermi_dirac_zeta": lambda g: bounds.fermi_dirac_zeta([0.5], [0.5], g),
+    **{f"fy_bound_dispatch/{m}": (lambda m: lambda g: bounds.fy_bound_dispatch(
+        BURG, None, _P, g, m))(m) for m in bounds.FY_METHODS},
+    **{f"_fy_rows/{m}": (lambda m: lambda g: bounds._fy_rows(BURG, _X, _U, g, m))(m)
+       for m in bounds.FY_METHODS},
+    "prox": lambda g: solvers.prox(BURG, g, [1.0]),
+    "bregman_prox": lambda g: solvers.bregman_prox(BURG, BURG, g, [-1.0]),
+    "ResolventProblem": lambda g: solvers.ResolventProblem(ID1, A_BURG, g, [1.0]),
+    "warped_resolvent": lambda g: solvers.warped_resolvent(ID1, ID1, ID1, g, [0.0]),
+    "InclusionInstance": lambda g: gauges.InclusionInstance(A=ID1, B=ID1, W=ID1, gamma=g),
+    "KTInstance": lambda g: gauges.KTInstance(C=ID1, D_inv=ID1, L=[[1.0]], gamma=g,
+                                              W_X=ID1, W_Ystar=ID1),
+    "fr_gauge_bound": lambda g: gauges.fr_gauge_bound(_Q, _Q, _Q, _Q, [[1.0]], g,
+                                                      [1.0], [0.5]),
+}
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0, -0.5, -1.0])
+@pytest.mark.parametrize("entry", sorted(_GAMMA_ENTRIES))
+def test_gamma_must_be_positive_and_finite(entry, gamma):
+    # One ValueError, raised before any arithmetic with gamma can warn.
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="gamma must be positive and finite") as info:
+            _GAMMA_ENTRIES[entry](gamma)
+    assert type(info.value) is ValueError

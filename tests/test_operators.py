@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import haraux
-from haraux import functions
-from haraux.core import DomainError, pairing
+from haraux import bounds, functions
+from haraux.core import DomainError, DualPair, pairing
 from haraux.operators import (
     AffineOp,
     DiagonalOp,
@@ -83,10 +83,6 @@ class TestAffineOp:
 
     def test_skew_matrix_accepted(self):
         AffineOp([[0.0, -1.0], [1.0, 0.0]])  # symmetric part is zero
-
-    def test_check_can_be_disabled(self):
-        op = AffineOp([[-1.0]], check=False)
-        assert op.M[0, 0] == -1.0
 
     def test_is_diagonal(self):
         assert AffineOp(np.eye(3)).is_diagonal
@@ -207,6 +203,21 @@ class TestJoca16Op:
         for psi in (functions._quadratic_scalar(), half_line_psi):
             assert Joca16Op(beta, psi).beta == beta
 
+    def test_psi_on_a_bounded_interval_with_an_end_at_zero(self):
+        # Checking the Lipschitz bound builds the chart of (0, 3), whose t
+        # range passes a long run of t where e^t underflows.
+        psi = functions.ScalarLegendre(
+            name="box_quadratic", dom=(0.0, 3.0), value=lambda t: 0.5 * t * t,
+            deriv=lambda t: t, deriv_inv=lambda s: s, conj_dom=(0.0, 3.0),
+            conj_value=lambda s: 0.5 * s * s, deriv2=lambda t: 1.0)
+        op = Joca16Op(2.0, psi)
+        np.testing.assert_array_equal(op.domain()[1], [3.0, 3.0])
+        # A = grad(psi) on (0, 3): the pairing bound with W = Id has
+        # z = (x + gamma*u*)/(1 + gamma) = 0.75 and value (x - z)^2/gamma.
+        b = bounds.fy_bound_dispatch(functions.SeparableFunction([psi]), None,
+                                     DualPair([1.0], [0.5]), 1.0, "pairing")
+        assert b.value == pytest.approx(0.0625, abs=1e-12)
+
     def test_wrong_dimension(self):
         op = Joca16Op(1.0, functions._quadratic_scalar())
         with pytest.raises(DomainError):
@@ -253,7 +264,13 @@ class TestMonotonicityProbe:
         assert rep["min_modulus_slack"] >= -1e-12
 
     def test_detects_violation_without_raising(self):
-        op = AffineOp([[-1.0]], check=False)
+        class Negation(MonotoneOperator):
+            dim_in = 1
+
+            def apply(self, x):
+                return -np.asarray(x, dtype=float)
+
+        op = Negation()
         rep = monotonicity_probe(op, [(-2.0, 2.0)], n=50, seed=1)
         assert rep["min_pairing"] < 0.0
 

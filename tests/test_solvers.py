@@ -300,6 +300,43 @@ class TestElementwiseSolve:
         c, _, _, t_lo, t_hi = solvers._interval_chart(-8e307, 8e307, arrays)
         assert -8e307 < c(t_lo) < c(t_hi) < 8e307
 
+    @pytest.mark.parametrize("arrays", [False, True])
+    @pytest.mark.parametrize("lo, hi", [(0.0, 3.0), (0.0, 10.0), (-10.0, 0.0), (0.0, 1e10),
+                                        (-9.669447289429418e-195, 9.127555772777216e+187)])
+    def test_t_range_passes_a_long_run_of_t_that_rounds_onto_an_end(self, lo, hi, arrays):
+        # The preimage of the first float inside the end lies below
+        # log(5e-324), where e^t underflows and c(t) is the end itself for
+        # about 1e13 floats t: the range is bisected over the floats.
+        c, _, _, t_lo, t_hi = solvers._interval_chart(lo, hi, arrays)
+        assert lo < c(t_lo) and c(t_hi) < hi
+        # The end at 0 gets the outermost t inside: one float further out
+        # rounds onto it.
+        if hi == 0.0:
+            assert c(np.nextafter(t_hi, math.inf)) == hi
+        else:
+            assert c(np.nextafter(t_lo, -math.inf)) == lo
+        mixed = solvers._array_chart(np.array([lo, 0.0, -1.0]), np.array([hi, math.inf, 1.0]))
+        assert (mixed[3][0], mixed[4][0]) == (t_lo, t_hi)
+
+    def test_scalar_solve_on_an_interval_with_an_underflowing_end(self):
+        z = solve_scalar_increasing(lambda z: z, lambda z: 1.0, (0.0, 3.0), 1.0, 1e-12)
+        assert abs(z - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("start", [-1.0, -1e-300, 0.0, 1.0, 745.0, 1e300])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 5, 64])
+    def test_first_inside_is_the_float_the_stepping_search_reaches(self, start, steps):
+        # A threshold `steps` floats from the start, approached from below on
+        # floats and from above on a column of them: the bisection ends on
+        # the float that stepping one float at a time reaches.
+        edge = start
+        for _ in range(steps):
+            edge = np.nextafter(edge, math.inf)
+        t = solvers._first_inside(lambda t: t >= edge, start, 2e300)
+        assert t == edge
+        down = solvers._first_inside(lambda t: t <= -edge, np.array([-start] * 3),
+                                     np.full(3, -2e300))
+        assert down.tolist() == [-edge] * 3
+
     @pytest.mark.parametrize("kernel", ["identity", "gradient"])
     def test_mixed_intervals_match_the_scalar_solves(self, kernel):
         # Interleaved burg, fermi_dirac and quadratic coordinates at d = 40:
@@ -545,6 +582,15 @@ class TestSolveResolvent:
         A = ApplyOnly()
         with pytest.raises(UnsupportedOperatorError, match="no resolvent route"):
             solve_resolvent(ResolventProblem(W, A, 1.0, np.zeros(4)))
+
+    @pytest.mark.parametrize("d", [1, 23, 24])
+    def test_operator_domains_that_do_not_meet(self, d):
+        # grad burg lives on (0, inf), grad burg* on (-inf, 0): both the
+        # coordinate route (d < 24) and the array route raise before solving.
+        burg = functions.burg(d)
+        W, A = GradientOp(burg), GradientOp(burg.conjugate_function())
+        with pytest.raises(NoSolutionError, match="operator domains have empty intersection"):
+            solve_resolvent(ResolventProblem(W, A, 1.0, np.zeros(d)))
 
 
 class TestBregmanProx:
