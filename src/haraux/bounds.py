@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DomainError, DualPair, check_gamma
-from .functions import SeparableFunction, _match_dim
+from .functions import _SCALAR_CATALOG, SeparableFunction, _match_dim
 from .operators import GradientOp, identity
 from .solvers import (
     ConvergenceError,
@@ -99,11 +99,13 @@ def _rows(method, A, x, u, gamma, rows=1, W=None, f=None, phi=None, modulus=None
             raise ValueError("the bregman method needs a kernel function f")
         if not f._inside(_match_dim(x, f.dim)):
             raise DomainError("x must lie strictly inside dom f")
-        pair = (f.name, A.f.name if A.f is not None else None)
-        if pair == ("burg", "burg"):
+        # The closed forms hold for the catalog parts, not for any part of their name.
+        kernel, op = (g.parts[0] if g is not None and len(g.groups) == 1 else None
+                      for g in (f, A.f))
+        if kernel is op is _SCALAR_CATALOG["burg"]:
             terms, z = _burg_self_terms(x, u, gamma)
             return _row_sums(terms, rows), z, "burg_closed", None
-        if pair == ("fermi_dirac", "boltzmann_shannon"):
+        if kernel is _SCALAR_CATALOG["fermi_dirac"] and op is _SCALAR_CATALOG["boltzmann_shannon"]:
             terms, z = _fermi_dirac_terms(x, u, gamma)
             return _row_sums(terms, rows) / gamma, z, "fermi_dirac_closed", None
         W = GradientOp(f)

@@ -172,10 +172,7 @@ def cmd_bound(args):
 
 
 def cmd_verify(args):
-    # Only verify samples. Its seed is --seed (or config seed=), else the
-    # fixed default.
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    rows = verification.run_checks(seed=seed, corrupt=args.self_test_corrupt)
+    rows = verification.run_checks(seed=args.seed, corrupt=args.self_test_corrupt)
     out_rows = [
         [
             r["module"],
@@ -304,24 +301,29 @@ def cmd_figure1(args):
     return EXIT_OK
 
 
-def _read_key_values(path, what):
-    """(key, value) pairs of a key=value file; blank and '#' lines are
-    skipped. ``what`` names the file in the error message."""
+def _read_key_values(path, what, keys, lists=()):
+    """The {key: value} of a key=value file, where blank and '#' lines are
+    skipped and a '-' in a key reads as '_'. A key not in ``keys`` is an
+    error, and so is a repeated key unless it is in ``lists``, whose values
+    are gathered in a list. ``what`` names the file in error messages."""
     try:
         with open(path) as fh:
             lines = [line.strip() for line in fh]
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
-    pairs = []
-    for line in lines:
-        if line and not line.startswith("#"):
-            key, _, value = line.partition("=")
-            pairs.append((key.strip(), value.strip()))
-    return pairs
+    found = {}
+    for key, _, value in (line.partition("=") for line in lines if line and line[0] != "#"):
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key not in keys:
+            raise ConfigError(f"unknown {what} key {key!r}")
+        if key in found and key not in lists:
+            raise ConfigError(f"{what} key {key!r} is given more than once")
+        found[key] = found.get(key, []) + [value] if key in lists else value
+    return found
 
 
 def _load_gauge_instance(path):
-    cfg = dict(_read_key_values(path, "instance"))
+    cfg = _read_key_values(path, "instance", ("type", "L", "x_bar", "y_bar", "gamma"))
     kind = cfg.get("type", "kt_linear_quadratic")
     if kind != "kt_linear_quadratic":
         raise ConfigError(f"unknown gauge instance type {kind!r}")
@@ -371,12 +373,12 @@ def _add_common(sub):
     sub.add_argument("--f", help="kernel function for bregman/pairing methods")
     sub.add_argument("--op-a", dest="op_a", help="operator spec for H_A bounds")
     sub.add_argument("--op-w", dest="op_w", help="kernel operator spec")
-    # gamma and method default to None so a --config file can fill them;
-    # _resolve_bound_defaults applies the documented defaults afterwards.
+    # The default method depends on the route: _resolve_bound_defaults sets it.
     sub.add_argument("--method", choices=BOUND_METHODS,
                      help="bound method (default: legendre_self with --phi, "
                           "pairing with --op-a)")
-    sub.add_argument("--gamma", help="step size or comma-separated grid (default: 1)")
+    sub.add_argument("--gamma", default="1",
+                     help="step size or comma-separated grid (default: 1)")
     sub.add_argument("--point", action="append",
                      help="evaluation point 'x;u_star', ',' between coordinates")
 
@@ -395,7 +397,7 @@ def _build_parser():
         sub.add_argument("--out")
 
     sub = subs.add_parser("verify")
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--out")
     sub.add_argument("--self-test-corrupt", action="store_true",
                      help="deliberately break a tolerance (harness self-test)")
@@ -411,36 +413,42 @@ def _build_parser():
     return parser
 
 
-def _apply_config(args, path):
-    """Fill the flags not given from a config file. Each point= line adds a
-    point, as repeated --point flags do; any other key may appear once."""
-    seen, points = set(), []
-    for key, value in _read_key_values(path, "config"):
-        key = key.replace("-", "_")
-        if not hasattr(args, key):
-            raise ConfigError(f"unknown config key {key!r}")
-        if key == "point":
-            points.append(value)
-            continue
-        if key in seen:
-            raise ConfigError(f"config key {key!r} is given more than once")
-        seen.add(key)
-        if getattr(args, key) is None:
-            setattr(args, key, int(value) if key == "seed" else value)
-    if points and args.point is None:
-        args.point = points
+def _apply_config(parser, argv, args):
+    """Parse argv again with the config file's values as the defaults of
+    the subcommand's flags, each read by its flag's own action, so that a
+    flag on the command line wins. The key of a boolean flag takes true or
+    false; each line of an append flag such as point= adds a value."""
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    sub = subs.choices[args.command]
+    actions = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+    lists = {key for key, a in actions.items() if isinstance(a, argparse._AppendAction)}
+    defaults = {}
+    for key, value in _read_key_values(args.config, "config", actions, lists).items():
+        action = actions[key]
+        if action.nargs == 0:
+            if value not in ("true", "false"):
+                raise ConfigError(f"config key {key!r} takes true or false, not {value!r}")
+            value = action.const if value == "true" else action.default
+        else:
+            try:
+                value = ([sub._get_values(action, [v]) for v in value] if key in lists
+                         else sub._get_values(action, [value]))
+            except argparse.ArgumentError as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from None
+        # A flag given on the command line wins, and --point flags replace
+        # the file's points rather than add to them.
+        if getattr(args, key) is action.default:
+            defaults[key] = value
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _resolve_bound_defaults(args):
     if args.command not in ("bound", "sweep"):
         return
-    if args.gamma is None:
-        args.gamma = "1"
     if args.method is None:
         # The operator route has no phi for the self-pair bound.
         args.method = "pairing" if args.op_a and not args.phi else "legendre_self"
-    if args.method not in BOUND_METHODS:
-        raise ConfigError(f"unknown method {args.method!r}")
     if args.method == "carlier_haraux" and args.phi:
         raise ConfigError("method 'carlier_haraux' bounds H_A of an operator: "
                           "it needs --op-a in place of --phi")
@@ -460,7 +468,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.config:
-            _apply_config(args, args.config)
+            args = _apply_config(parser, argv, args)
         _resolve_bound_defaults(args)
         handler = {
             "bound": cmd_bound,

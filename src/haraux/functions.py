@@ -520,11 +520,12 @@ def _fermi_dirac_scalar():
     )
 
 
+# Built once: each catalog name is one part object, by which bounds choose closed forms.
 _SCALAR_CATALOG = {
-    "quadratic": _quadratic_scalar,
-    "burg": _burg_scalar,
-    "boltzmann_shannon": _boltzmann_shannon_scalar,
-    "fermi_dirac": _fermi_dirac_scalar,
+    "quadratic": _quadratic_scalar(),
+    "burg": _burg_scalar(),
+    "boltzmann_shannon": _boltzmann_shannon_scalar(),
+    "fermi_dirac": _fermi_dirac_scalar(),
 }
 
 
@@ -557,26 +558,25 @@ def _scalar_from_name(name):
     if name.startswith("quad_plus:"):
         return _quad_plus_scalar(_scalar_from_name(name.split(":", 1)[1]))
     try:
-        scalar = _SCALAR_CATALOG[name]
+        return _SCALAR_CATALOG[name]
     except KeyError:
         raise ValueError(f"unknown function name {name!r}") from None
-    return scalar()
 
 
 def quadratic(dim=1):
-    return SeparableFunction(_quadratic_scalar(), dim)
+    return from_name("quadratic", dim)
 
 
 def burg(dim=1):
-    return SeparableFunction(_burg_scalar(), dim)
+    return from_name("burg", dim)
 
 
 def boltzmann_shannon(dim=1):
-    return SeparableFunction(_boltzmann_shannon_scalar(), dim)
+    return from_name("boltzmann_shannon", dim)
 
 
 def fermi_dirac(dim=1):
-    return SeparableFunction(_fermi_dirac_scalar(), dim)
+    return from_name("fermi_dirac", dim)
 
 
 def from_name(name, dim=1):

@@ -189,6 +189,8 @@ class AffineOp(MonotoneOperator):
 
     def __init__(self, M, b=None):
         M = np.atleast_2d(np.asarray(M, dtype=float))
+        if not np.isfinite(M).all():
+            raise ValueError("AffineOp matrix entries must be finite")
         if M.shape[0] != M.shape[1]:
             raise ValueError("AffineOp matrix must be square")
         if b is None:
@@ -284,8 +286,8 @@ class Joca16Op(MonotoneOperator):
     """
 
     def __init__(self, beta, psi):
-        if beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 < beta < INF:
+            raise ValueError(f"beta must be positive and finite, got {beta!r}")
         if not isinstance(psi, ScalarLegendre):
             raise TypeError("psi must be a ScalarLegendre")
         lo, hi = psi.dom
@@ -342,6 +344,8 @@ class SkewPDOp(MonotoneOperator):
 
     def __init__(self, L):
         L = np.atleast_2d(np.asarray(L, dtype=float))
+        if not np.isfinite(L).all():
+            raise ValueError("SkewPDOp matrix entries must be finite")
         self.L = L
         self.m, self.n = L.shape
         self.dim_in = self.n + self.m

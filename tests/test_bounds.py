@@ -139,6 +139,44 @@ class TestClosedForms:
             assert v >= -1e-12
 
 
+def _twice_burg(name):
+    """2 * (-ln t) as a user part, whatever its name."""
+    return functions.SeparableFunction(functions.ScalarLegendre(
+        name=name, dom=(0.0, math.inf), value=lambda t: -2.0 * math.log(t),
+        deriv=lambda t: -2.0 / t, deriv_inv=lambda s: -2.0 / s, deriv2=lambda t: 2.0 / (t * t),
+        conj_dom=(-math.inf, 0.0), conj_value=lambda s: 2.0 * math.log(2.0 / -s) - 2.0))
+
+
+class TestClosedFormChoice:
+    def test_a_user_part_named_like_a_catalog_part_takes_the_generic_route(self):
+        # The Burg closed form holds for -ln t alone: 2 * (-ln t) named
+        # "burg" gets the bound of the same function under another name.
+        p = DualPair([1.0], [-0.2])
+        named, other = (bound_bregman(f, GradientOp(f), p, 1.0)
+                        for f in (_twice_burg("burg"), _twice_burg("other")))
+        assert named.method == other.method == "bregman"
+        assert named.value == other.value and np.array_equal(named.z, other.z)
+        assert named.value == pytest.approx(0.73636363636363636, rel=1e-12)
+        assert bound_bregman(functions.burg(), GradientOp(functions.burg()), p,
+                             1.0).method == "burg_closed"
+
+    def test_catalog_functions_of_separate_calls_share_their_part(self):
+        assert functions.burg(3).parts[0] is functions.from_name("burg").parts[0]
+        f, phi = functions.from_name("burg"), functions.from_name("burg")
+        b = fy_bound_dispatch(phi, f, DualPair([1.0], [-0.2]), 1.0, "bregman")
+        assert b.method == "burg_closed"
+
+
+class TestUnknownMethod:
+    def test_dispatch(self):
+        with pytest.raises(ValueError, match="nope"):
+            fy_bound_dispatch(functions.burg(), None, DualPair([1.0], [-0.5]), 1.0, "nope")
+
+    def test_rows(self):
+        with pytest.raises(ValueError, match="nope"):
+            bounds._fy_rows(functions.burg(), np.ones((2, 1)), -np.ones((2, 1)), 1.0, "nope")
+
+
 class TestOrderingAndDomination:
     @pytest.mark.parametrize("name", [
         "quadratic", "burg", "boltzmann_shannon", "fermi_dirac", "quad_plus:quadratic",

@@ -22,6 +22,14 @@ def _assert_unwritable(capsys, argv, path):
     assert len(err.strip().splitlines()) == 1
 
 
+def _assert_config_error(capsys, argv, *words):
+    """Exit 2, one error line naming each of ``words``, no stdout."""
+    code, out, err = _run(capsys, argv)
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert all(w in err for w in words), err
+
+
 def _read_csv(path):
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -218,6 +226,20 @@ class TestErrorPaths:
         assert code == cli.EXIT_SOLVER
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    def test_neither_phi_nor_op_a(self, capsys):
+        _assert_config_error(capsys, ["bound", "--point", "1;2"], "--phi or --op-a")
+
+    @pytest.mark.parametrize("spec, point", [
+        ("affine:{}", "1,2;0,0"), ("skew:{}", "1,2,3;0,0,0"),
+        ("joca16:inf,quadratic", "1,2;0,0"), ("joca16:nan,quadratic", "1,2;0,0"),
+    ])
+    def test_operator_data_must_be_finite(self, capsys, tmp_path, spec, point):
+        # Bad input, not a nan row or a stalled solve.
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("inf 0\n0 1\n" if spec.startswith("affine") else "inf 1\n")
+        _assert_config_error(capsys, ["bound", "--op-a", spec.format(matrix), "--point", point],
+                             "finite")
+
     def test_point_outside_domain(self, capsys):
         code, _, _ = _run(capsys, [
             "bound", "--phi", "burg", "--point=-1;-0.5",
@@ -407,6 +429,74 @@ class TestGaugeCommand:
         out = tmp_path / "missing" / "g.csv"
         _assert_unwritable(capsys, ["gauge", "--instance", str(inst), "--point", "1,-2;0.5,1.5",
                                     "--out", str(out)], out)
+
+
+class TestKeyValueFiles:
+    """Config and instance files go through one reader, and each config
+    value through the argparse action of its flag."""
+
+    @pytest.mark.parametrize("key", ["command=verify", "config=x", "help=true"])
+    def test_a_key_with_no_flag_of_the_command(self, capsys, tmp_path, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"phi=burg\npoint=1;-0.5\n{key}\n")
+        _assert_config_error(capsys, ["--config", str(cfg), "bound"], repr(key.split("=")[0]))
+
+    def test_a_key_whose_flag_has_a_default(self, capsys, tmp_path):
+        out = tmp_path / "D"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"format=csv\nout={out}\n")
+        code, _, err = _run(capsys, ["--config", str(cfg), "figure1"])
+        assert code == 0, err
+        assert len(list(out.glob("*.csv"))) == 4 and not list(out.glob("*.svg"))
+
+    @pytest.mark.parametrize("value, code", [("true", cli.EXIT_CHECK_FAILED),
+                                             ("false", cli.EXIT_OK)])
+    def test_a_boolean_key(self, capsys, tmp_path, value, code):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"self_test_corrupt={value}\nout={tmp_path / 'v.csv'}\n")
+        assert _run(capsys, ["--config", str(cfg), "verify"])[0] == code
+
+    def test_a_boolean_key_takes_true_or_false_alone(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("self_test_corrupt=yes\n")
+        _assert_config_error(capsys, ["--config", str(cfg), "verify"], "self_test_corrupt", "yes")
+
+    @pytest.mark.parametrize("key, command", [("seed=abc", "verify"),
+                                              ("method=nope", "bound")])
+    def test_a_value_its_flag_refuses(self, capsys, tmp_path, key, command):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"phi=burg\npoint=1;-0.5\n{key}\n" if command == "bound" else key)
+        _assert_config_error(capsys, ["--config", str(cfg), command], key.split("=")[1])
+
+    def test_a_config_seed_is_an_integer_and_the_flag_wins(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        report = tmp_path / "r.csv"
+        cfg.write_text(f"seed=7\nout={report}\n")
+        for flags, seed in (([], "7"), (["--seed", "8"], "8")):
+            assert _run(capsys, ["--config", str(cfg), "verify", *flags])[0] == 0
+            assert {r[5] for r in _read_csv(report)[1]} == {seed}
+
+    @pytest.mark.parametrize("lines, key", [
+        ("gama=3\n", "gama"), ("x_bar=1,-2\n", "x_bar"), ("type=a\ntype=a\n", "type"),
+    ])
+    def test_an_instance_key_unknown_or_repeated(self, capsys, tmp_path, lines, key):
+        inst = tmp_path / "inst.txt"
+        inst.write_text("L=1 0.5;0 1\nx_bar=1,-2\ny_bar=0.5,1.5\n" + lines)
+        _assert_config_error(capsys, ["gauge", "--instance", str(inst), "--point",
+                                      "1,-2;0.5,1.5"], repr(key))
+
+    def test_the_readme_instance_file_runs_verbatim(self, capsys, tmp_path):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        section = text[text.index("### Gauge instance files"):]
+        block = section.split("```")[1]
+        inst = tmp_path / "inst.txt"
+        inst.write_text(block)
+        code, out, err = _run(capsys, ["gauge", "--instance", str(inst), "--point",
+                                       "1,-2;0.5,1.5"])
+        assert code == 0, err
+        assert float(out.strip().splitlines()[1].split(",")[2]) <= 1e-12
 
 
 class TestConfigAndSeed:

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,34 @@ class TestAffineOp:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             AffineOp(np.eye(2)).apply([1.0])
+
+
+_BAD_ENTRIES = [np.inf, -np.inf, np.nan]
+
+
+def _constructed_without_warnings(build):
+    """Call build() with every warning an error, so a rejection must be its own."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build()
+
+
+class TestOperatorData:
+    @pytest.mark.parametrize("bad", _BAD_ENTRIES)
+    def test_affine_matrix_entries_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            _constructed_without_warnings(lambda: AffineOp([[bad, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", _BAD_ENTRIES)
+    def test_skew_matrix_entries_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            _constructed_without_warnings(lambda: SkewPDOp([[bad, 1.0]]))
+
+    @pytest.mark.parametrize("beta", [np.inf, np.nan, 0.0, -1.0])
+    def test_joca16_beta_must_be_positive_and_finite(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            _constructed_without_warnings(
+                lambda: Joca16Op(beta, functions._quadratic_scalar()))
 
 
 class TestDiagonalOp:

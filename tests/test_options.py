@@ -41,6 +41,74 @@ def test_each_subcommand_has_the_listed_flags():
     assert found == FLAGS
 
 
+# The flags of each command that take no value: a config key of one takes
+# true or false.
+BOOLEAN_FLAGS = {"verify": ["--self-test-corrupt"]}
+COMMANDS = [command for command in FLAGS if command]
+# A value each flag accepts, and what it reads as; any other flag reads "x" as "x".
+# --instance is required, so its value on the command line wins over the file's.
+_SAMPLES = {"method": ("pairing", "pairing"), "seed": ("7", 7), "point": ("x", ["x"]),
+            "format": ("csv", "csv"), "instance": ("x", "i.txt")}
+
+
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+def _config_keys(command):
+    """The dests of the command's flags: the keys its config file accepts."""
+    return [_dest(flag) for flag in FLAGS[command] if flag not in ("-h", "--help")]
+
+
+def _run_config(monkeypatch, tmp_path, command, text):
+    """The exit code of the command with a config file holding ``text``, and
+    the arguments its handler was given, if it was called."""
+    called = []
+    for name in ("cmd_bound", "cmd_verify", "cmd_figure1", "cmd_gauge"):
+        monkeypatch.setattr(cli, name, lambda args: called.append(args) or cli.EXIT_OK)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    required = ["--instance", "i.txt"] if command == "gauge" else []
+    return cli.main(["--config", str(cfg), command, *required]), called
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_config_file_takes_the_dests_of_the_commands_flags(monkeypatch, tmp_path, command):
+    booleans = [_dest(flag) for flag in BOOLEAN_FLAGS.get(command, [])]
+    for key in _config_keys(command):
+        text, value = ("true", True) if key in booleans else _SAMPLES.get(key, ("x", "x"))
+        code, called = _run_config(monkeypatch, tmp_path, command, f"{key}={text}\n")
+        assert code == cli.EXIT_OK, key
+        assert getattr(called[0], key) == value, key
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("key", ["command", "config", "help"])
+def test_a_config_file_refuses_the_keys_of_no_flag(monkeypatch, tmp_path, command, key):
+    code, called = _run_config(monkeypatch, tmp_path, command, f"{key}=x\n")
+    assert code == cli.EXIT_CONFIG and not called
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_boolean_key_takes_true_or_false(monkeypatch, tmp_path, command):
+    for key in map(_dest, BOOLEAN_FLAGS.get(command, [])):
+        for text, value in (("true", True), ("false", False)):
+            code, called = _run_config(monkeypatch, tmp_path, command, f"{key}={text}\n")
+            assert code == cli.EXIT_OK and getattr(called[0], key) is value
+        for text in ("yes", "1", "True", ""):
+            code, called = _run_config(monkeypatch, tmp_path, command, f"{key}={text}\n")
+            assert code == cli.EXIT_CONFIG and not called, text
+
+
+def test_the_boolean_flags_are_the_flags_without_a_value():
+    parser = cli._build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {name: [a.option_strings[-1] for a in sub._actions
+                    if a.nargs == 0 and a.dest != "help"]
+             for name, sub in subs.choices.items()}
+    assert {name: flags for name, flags in found.items() if flags} == BOOLEAN_FLAGS
+
+
 def _environment_reads(module):
     """The lines of the module that read the process environment."""
     with open(os.path.join(PACKAGE, module)) as fh:
