@@ -19,8 +19,10 @@ The layers are:
 - ``bound``: each Fenchel-Young method on each catalog phi, and
   ``carlier_haraux`` with A = subdiff(burg);
 - ``bound_bregman_closed``: ``bound_bregman`` on its two closed-form
-  routes, the Burg self-pair and Fermi-Dirac over Boltzmann-Shannon, with
-  the generic cross-check solve that fills its diagnostics;
+  routes, the Burg self-pair and Fermi-Dirac over Boltzmann-Shannon,
+  whose diagnostics are not read; and, under ``<route>/residual``, the
+  same call followed by a read of ``diagnostics["residual"]``, which
+  runs the generic cross-check solve that fills the diagnostics;
 - ``figure1_point``: the two point ops of the benchmark's figure1
   workload at d = 1, each a ``DualPair``, the new bound, ``carlier_fy``
   and the exact value at one point: ``burg`` (``legendre_self``) and
@@ -200,12 +202,15 @@ def measure():
     for key, f, a in (("burg", "burg", "burg"),
                       ("fermi_dirac_bs", "fermi_dirac", "boltzmann_shannon")):
         costs = out["bound_bregman_closed"][key] = {}
+        read = out["bound_bregman_closed"][f"{key}/residual"] = {}
         x, u = points[f]
         for d in DIMS:
             kernel = functions.from_name(f, d)
             A = operators.SubdifferentialOp(functions.from_name(a, d))
             p = DualPair(x[:d], u[:d])
             costs[d] = time_call(lambda: bounds.bound_bregman(kernel, A, p, 1.0))
+            read[d] = time_call(
+                lambda: bounds.bound_bregman(kernel, A, p, 1.0).diagnostics["residual"])
 
     # The figure1 point ops as the benchmark's workload calls them.
     burg, bs, fd = functions.burg(), functions.boltzmann_shannon(), functions.fermi_dirac()

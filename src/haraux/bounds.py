@@ -3,7 +3,7 @@ L_phi: pairing, modulus, Bregman, Legendre self-pair, and the baseline
 resolvent/prox bounds."""
 
 import math
-from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -11,7 +11,6 @@ from .core import DomainError, DualPair, check_gamma
 from .functions import _SCALAR_CATALOG, SeparableFunction, _match_dim
 from .operators import GradientOp, identity
 from .solvers import (
-    ConvergenceError,
     NoSolutionError,
     ResolventProblem,
     _prox,
@@ -30,13 +29,34 @@ class InternalConsistencyError(RuntimeError):
     """A bound came out more negative than floating-point noise allows."""
 
 
-@dataclass
 class BoundResult:
-    value: float
-    z: np.ndarray
-    method: str
-    gamma: float
-    diagnostics: dict = field(default_factory=dict)
+    """A bound's value, its auxiliary point z, the route that computed it,
+    gamma, and a dict of diagnostics.
+
+    A closed-form Bregman bound runs its generic solver cross-check on the
+    first read of ``diagnostics``: until then ``_crosscheck`` holds it,
+    and the read puts its keys ahead of those set with the bound. repr,
+    copy and pickle read the diagnostics first.
+    """
+
+    def __init__(self, value, z, method, gamma, diagnostics=None):
+        self.value, self.z, self.method, self.gamma = value, z, method, gamma
+        self._diagnostics = {} if diagnostics is None else diagnostics
+        self._crosscheck = None
+
+    @property
+    def diagnostics(self):
+        if self._crosscheck is not None:
+            self._diagnostics = {**self._crosscheck(), **self._diagnostics}
+            self._crosscheck = None
+        return self._diagnostics
+
+    def __repr__(self):
+        return (f"BoundResult(value={self.value!r}, z={self.z!r}, method={self.method!r}, "
+                f"gamma={self.gamma!r}, diagnostics={self.diagnostics!r})")
+
+    def __reduce__(self):
+        return BoundResult, (self.value, self.z, self.method, self.gamma, self.diagnostics)
 
 
 def _clamp(value, method, diagnostics):
@@ -87,7 +107,11 @@ def _rows(method, A, x, u, gamma, rows=1, W=None, f=None, phi=None, modulus=None
         if not phi._inside(x):
             raise DomainError("x must lie strictly inside dom phi")
         gx = phi._evaluate("deriv", x)
-        z = phi._grad_conj_at((gx + gamma * u) / (1.0 + gamma))
+        # A sum that overflows lies outside the conjugate domain, which
+        # _grad_conj_at reports.
+        with np.errstate(over="ignore"):
+            s = gx + gamma * u
+        z = phi._grad_conj_at(s / (1.0 + gamma))
         return _row_sums((x - z) * (gx - u), rows) / (1.0 + gamma), z, method, None
     if method == "carlier_fy":
         z = _prox(phi, gamma, x + gamma * u, rows)
@@ -133,32 +157,53 @@ def _bound(method, A, p, gamma, W=None, f=None, phi=None, modulus=None):
     """The public bound of ``method`` at the pair p: the one-block case of
     ``_rows`` with its diagnostics, clamped.
 
-    The closed-form Bregman values are authoritative; the generic solver
-    result is recorded in the diagnostics as a cross-check, and so is its
-    failure, which leaves the closed form standing.
+    The closed-form Bregman values are authoritative. Their generic solver
+    cross-check runs when the result's diagnostics are first read, on
+    copies of x, u* and z taken here, so a caller who changes them later
+    does not change it.
     """
     x, u = p.x, p.u_star
     values, z, route, residuals = _rows(method, A, x, u, gamma, 1, W, f, phi, modulus)
+    if method == "bregman" and residuals is None:
+        b = _finalize(float(values[0]), z, route, gamma, {})
+        b._crosscheck = partial(_crosscheck, f, A, gamma, x.copy(), u.copy(), z.copy())
+        return b
     diag = {} if residuals is None else {"residual": float(residuals[0])}
     if method == "bregman":
-        if residuals is None:
-            # x passed the interior test of _rows.
-            W = GradientOp(f)
-            problem = ResolventProblem(W, A, gamma, f._evaluate("deriv", x) + gamma * u)
-            try:
-                z_num = solve_resolvent(problem)
-                diag["solver_z_gap"] = float(np.max(np.abs(z - z_num)))
-                diag["residual"] = float(problem.residuals[0])
-            except (NoSolutionError, ConvergenceError) as exc:
-                diag["crosscheck_error"] = f"{type(exc).__name__}: {exc}"
-                # Without a cross-check the residual is taken at the
-                # closed-form z; it is +inf when that z rounded onto an end
-                # of dom f, where the gradient is not evaluated.
-                diag["residual"] = (
-                    float(_row_residuals(W._apply(z), A._apply(z), gamma, problem.rhs, 1)[0])
-                    if f._inside(z) else math.inf)
         diag["near_boundary"] = f._near_boundary(z)
     return _finalize(float(values[0]), z, route, gamma, diag)
+
+
+def _crosscheck(f, A, gamma, x, u, z):
+    """The diagnostics of a closed-form Bregman bound: the gap between
+    its z and the generic solve of its resolvent, the residual of that
+    solve, and whether z is near the boundary of dom f.
+
+    A failure to set up or run the solve leaves the closed form standing:
+    it is recorded as ``crosscheck_error``, and the residual is taken at
+    the closed-form z. That residual is +inf when no right-hand side could
+    be formed, or when z rounded onto an end of dom f, where the gradient
+    is not evaluated.
+    """
+    W, problem = GradientOp(f), None
+    try:
+        # x passed the interior test of _rows.
+        gx = f._evaluate("deriv", x)
+        # ResolventProblem refuses a sum that overflows.
+        with np.errstate(over="ignore"):
+            rhs = gx + gamma * u
+        problem = ResolventProblem(W, A, gamma, rhs)
+        z_num = solve_resolvent(problem)
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        residual = math.inf
+        if problem is not None and f._inside(z):
+            residual = float(_row_residuals(W._apply(z), A._apply(z), gamma, problem.rhs, 1)[0])
+        diag = {"crosscheck_error": f"{type(exc).__name__}: {exc}", "residual": residual}
+    else:
+        diag = {"solver_z_gap": float(np.max(np.abs(z - z_num))),
+                "residual": float(problem.residuals[0])}
+    diag["near_boundary"] = f._near_boundary(z)
+    return diag
 
 
 def bound_pairing(W, A, p, gamma):

@@ -303,16 +303,22 @@ def cmd_figure1(args):
 
 def _read_key_values(path, what, keys, lists=()):
     """The {key: value} of a key=value file, where blank and '#' lines are
-    skipped and a '-' in a key reads as '_'. A key not in ``keys`` is an
-    error, and so is a repeated key unless it is in ``lists``, whose values
-    are gathered in a list. ``what`` names the file in error messages."""
+    skipped and a '-' in a key reads as '_'. Any other line without '=' is
+    an error, and so is a key not in ``keys`` or a repeated key unless it
+    is in ``lists``, whose values are gathered in a list. ``what`` names
+    the file in error messages."""
     try:
         with open(path) as fh:
             lines = [line.strip() for line in fh]
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
     found = {}
-    for key, _, value in (line.partition("=") for line in lines if line and line[0] != "#"):
+    for number, line in enumerate(lines, 1):
+        if not line or line[0] == "#":
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ConfigError(f"{what} file {path} line {number}: {line!r} is not key=value")
         key, value = key.strip().replace("-", "_"), value.strip()
         if key not in keys:
             raise ConfigError(f"unknown {what} key {key!r}")
@@ -343,6 +349,8 @@ def _load_gauge_instance(path):
 
 
 def cmd_gauge(args):
+    if args.instance is None:
+        raise ConfigError("gauge needs an instance file: --instance or a config instance= key")
     inst = _load_gauge_instance(args.instance)
     n = inst.L.shape[1]
     rows = []
@@ -407,7 +415,7 @@ def _build_parser():
     sub.add_argument("--format", default="svg", choices=["csv", "svg"])
 
     sub = subs.add_parser("gauge")
-    sub.add_argument("--instance", required=True)
+    sub.add_argument("--instance", help="instance file (required, as a flag or config key)")
     sub.add_argument("--point", action="append")
     sub.add_argument("--out")
     return parser

@@ -1,4 +1,8 @@
+import copy
+import json
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -321,3 +325,107 @@ class TestDiagnostics:
         p = DualPair([1.0], [-0.5])
         b = fy_bound_dispatch(burg, burg, p, 1.0, "pairing")
         assert b.diagnostics["residual"] <= 1e-10
+
+
+# The two closed-form Bregman routes: kernel, operator, the helper that
+# forms the terms of the bound, and a point.
+CLOSED_ROUTES = {
+    "burg_closed": (functions.burg, functions.burg, "_burg_self_terms",
+                    [2.5, 0.7], [-1.0, -0.3]),
+    "fermi_dirac_closed": (functions.fermi_dirac, functions.boltzmann_shannon,
+                           "_fermi_dirac_terms", [0.5, 0.2], [1.0, -2.0]),
+}
+CROSSCHECK_KEYS = ["solver_z_gap", "residual", "near_boundary"]
+
+
+def _closed_bound(route, p=None):
+    f, a, _, x, u = CLOSED_ROUTES[route]
+    b = bound_bregman(f(2), SubdifferentialOp(a(2)), p or DualPair(x, u), 0.7)
+    assert b.method == route
+    return b
+
+
+@pytest.mark.parametrize("route", sorted(CLOSED_ROUTES))
+class TestDeferredCrosscheck:
+    """A closed-form Bregman bound runs its generic cross-check once, on
+    the first read of its diagnostics, and the read gives the dict the
+    check gave when it ran with the bound."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        solves = []
+
+        def counted(problem):
+            solves.append(problem)
+            return solve_resolvent(problem)
+
+        monkeypatch.setattr(bounds, "solve_resolvent", counted)
+        return solves
+
+    def test_one_solve_on_the_first_read(self, route, solves):
+        b = _closed_bound(route)
+        assert solves == []
+        diagnostics = b.diagnostics
+        assert len(solves) == 1 and list(diagnostics) == CROSSCHECK_KEYS
+        assert "residual" in b.diagnostics and b.diagnostics.get("solver_z_gap") <= 1e-10
+        assert dict(b.diagnostics) == diagnostics
+        json.dumps(b.diagnostics)
+        assert b.diagnostics is diagnostics and len(solves) == 1
+
+    def test_json_as_the_first_read(self, route):
+        diagnostics = json.loads(json.dumps(_closed_bound(route).diagnostics))
+        assert diagnostics == _closed_bound(route).diagnostics
+        assert list(diagnostics) == CROSSCHECK_KEYS
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b))])
+    def test_copies_carry_every_key(self, route, clone, solves):
+        b = clone(_closed_bound(route))
+        assert len(solves) == 1
+        assert list(b.diagnostics) == CROSSCHECK_KEYS
+        assert b.diagnostics == _closed_bound(route).diagnostics
+        assert "solver_z_gap" in repr(_closed_bound(route))
+
+    def test_later_changes_to_the_inputs_leave_the_diagnostics(self, route):
+        expected = _closed_bound(route).diagnostics
+        p = DualPair(*CLOSED_ROUTES[route][3:])
+        b = _closed_bound(route, p)
+        p.x[0], p.u_star[0], b.z[0] = 0.1, -0.1, 0.3
+        assert b.diagnostics == expected
+
+    def test_clamped_from_stays_the_last_key(self, route, monkeypatch):
+        # Terms of -1e-14 each: noise that the clamp takes to zero.
+        name = CLOSED_ROUTES[route][2]
+        terms_of = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda x, u, gamma: (
+            np.full_like(x, -1e-14), terms_of(x, u, gamma)[1]))
+        b = _closed_bound(route)
+        assert b.value == 0.0
+        assert list(b.diagnostics) == CROSSCHECK_KEYS + ["clamped_from"]
+
+
+class TestCrosscheckSetUp:
+    @pytest.mark.parametrize("x, u, value, error", [
+        # grad f(x) + gamma*u* = -1e308 - 1e308 overflows.
+        (1e-308, -1e308, 3.0814879110195774e-33, "ValueError: vector entries must be finite"),
+        # grad f(x) = -1/x overflows.
+        (1e-310, -1.0, 0.5, "DomainError: 1/t overflows a float at t = 1e-310"),
+    ])
+    def test_a_crosscheck_that_cannot_be_set_up_leaves_the_closed_form(self, x, u, value,
+                                                                       error):
+        burg = functions.burg()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = bound_bregman(burg, GradientOp(burg), DualPair([x], [u]), 1.0)
+            diagnostics = b.diagnostics
+        closed, z = burg_self_bound_closed([x], [u], 1.0)
+        assert b.method == "burg_closed" and b.value == closed == value
+        assert np.array_equal(b.z, z)
+        assert diagnostics == {"crosscheck_error": error, "residual": math.inf,
+                               "near_boundary": True}
+        assert list(diagnostics) == ["crosscheck_error", "residual", "near_boundary"]
+
+    def test_legendre_self_overflow_is_a_domain_error_alone(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                bound_legendre_self(functions.burg(), DualPair([1e-308], [-1e308]), 1.0)

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,19 @@ class TestBoundCommand:
         assert float(row["bound"]) == pytest.approx(1.0 / 12.0, abs=1e-14)
         assert float(row["exact"]) >= float(row["bound"])
         assert row["method"] == "legendre_self"
+
+    def test_a_bregman_bound_whose_crosscheck_cannot_be_set_up(self, capsys):
+        # grad f(x) + u* overflows, so the generic cross-check has no
+        # right-hand side; the closed form stands, with residual inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, ["bound", "--phi", "burg", "--method", "bregman",
+                                           "--point", "1e-308;-1e308"])
+        assert code == 0 and err == ""
+        header, *rows = out.strip().splitlines()
+        (row,) = [dict(zip(cli.BOUND_HEADER, r.split(","))) for r in rows]
+        assert row["method"] == "burg_closed" and row["residual"] == "inf"
+        assert float(row["bound"]) == bounds.burg_self_bound_closed([1e-308], [-1e308], 1.0)[0]
 
     def test_values_round_trip_through_csv(self, capsys):
         code, out, _ = _run(capsys, [
@@ -424,6 +438,23 @@ class TestGaugeCommand:
         ])
         assert code == cli.EXIT_CONFIG
 
+    def test_a_config_instance_key(self, capsys, tmp_path):
+        inst = self._instance_file(tmp_path)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"instance={inst}\n")
+        code, out, err = _run(capsys, ["--config", str(cfg), "gauge", "--point", "1,-2;0.5,1.5"])
+        assert code == 0, err
+        assert float(out.strip().splitlines()[1].split(",")[2]) <= 1e-12
+        # The flag wins over the key.
+        cfg.write_text(f"instance={tmp_path / 'nope.txt'}\n")
+        code, _, err = _run(capsys, ["--config", str(cfg), "gauge", "--instance", str(inst),
+                                     "--point", "1,-2;0.5,1.5"])
+        assert code == 0, err
+
+    def test_no_instance(self, capsys):
+        _assert_config_error(capsys, ["gauge", "--point", "1,-2;0.5,1.5"], "--instance",
+                             "instance=")
+
     def test_out_under_a_missing_directory(self, capsys, tmp_path):
         inst = self._instance_file(tmp_path)
         out = tmp_path / "missing" / "g.csv"
@@ -484,6 +515,18 @@ class TestKeyValueFiles:
         inst.write_text("L=1 0.5;0 1\nx_bar=1,-2\ny_bar=0.5,1.5\n" + lines)
         _assert_config_error(capsys, ["gauge", "--instance", str(inst), "--point",
                                       "1,-2;0.5,1.5"], repr(key))
+
+    def test_a_config_line_without_an_equals_sign(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("phi=burg\npoint=1;-0.5\n\nout\n")
+        _assert_config_error(capsys, ["--config", str(cfg), "bound"], "config", "line 4",
+                             "'out'")
+
+    def test_an_instance_line_without_an_equals_sign(self, capsys, tmp_path):
+        inst = tmp_path / "inst.txt"
+        inst.write_text("L=1 0.5;0 1\n# a comment\nx_bar=1,-2\ny_bar=0.5,1.5\ngamma\n")
+        _assert_config_error(capsys, ["gauge", "--instance", str(inst), "--point",
+                                      "1,-2;0.5,1.5"], "instance", "line 5", "'gamma'")
 
     def test_the_readme_instance_file_runs_verbatim(self, capsys, tmp_path):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

@@ -46,7 +46,7 @@ def test_each_subcommand_has_the_listed_flags():
 BOOLEAN_FLAGS = {"verify": ["--self-test-corrupt"]}
 COMMANDS = [command for command in FLAGS if command]
 # A value each flag accepts, and what it reads as; any other flag reads "x" as "x".
-# --instance is required, so its value on the command line wins over the file's.
+# _run_config passes --instance i.txt to gauge, and the flag wins over the file.
 _SAMPLES = {"method": ("pairing", "pairing"), "seed": ("7", 7), "point": ("x", ["x"]),
             "format": ("csv", "csv"), "instance": ("x", "i.txt")}
 
